@@ -13,9 +13,9 @@ from .errors import (ConfigError, LamplighterError, LimitExceededError,
                      NotInAugmentationIdealError, NotInvertibleError, ParseError,
                      RingMismatchError, SupportError, UnsupportedRingError,
                      WindowOverflowError)
-from .foxwords import (FreeWord, ModuleVector, Presentation,
-                       boundary_from_generators, boundary_from_relators,
-                       evaluate, fox_derivative, parse_word, relator_word)
+from .foxwords import (FreeWord, ModuleVector, boundary_from_generators,
+                       boundary_from_relators, evaluate, fox_derivative, parse_word,
+                       relator_word)
 from .groupring import GroupRing, GroupRingElement, LaurentElement, left_mul_matrix
 from .oresearch import (OreSystem, SearchReport, SolutionRecord, Window,
                         annihilator_search, build_system, check_solution,
@@ -30,7 +30,7 @@ __all__ = [
     "Certificate", "ConfigError", "FreeWord", "GroupRing", "GroupRingElement",
     "INTEGERS", "LampVector", "LamplighterError", "LaurentElement",
     "LimitExceededError", "ModuleVector", "NotInAugmentationIdealError",
-    "NotInvertibleError", "OreSystem", "ParseError", "Presentation",
+    "NotInvertibleError", "OreSystem", "ParseError",
     "RelatorCoefficients", "RingMismatchError", "Scalar", "ScalarRing",
     "SearchReport", "SolutionRecord", "SupportError", "UnsupportedRingError",
     "Window", "WindowOverflowError", "WreathElement", "WreathGroup",

@@ -26,16 +26,13 @@ ideal (lamp-exponent vectors over GF(p), for d = p prime).
 
 from __future__ import annotations
 
-from itertools import product as cartesian_product
 from typing import Iterable, Sequence
 
 from .errors import (LimitExceededError, NotInAugmentationIdealError,
                      RingMismatchError, SupportError, UnsupportedRingError)
 from .groupring import GroupRing, GroupRingElement
 from .ring import ScalarRing
-from .wreath import WreathElement, WreathGroup
-
-DEFAULT_CAP = 10 ** 6
+from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
 
 
 class RelatorCoefficients:
@@ -95,16 +92,6 @@ def zerodivisor_from_coefficients(z: RelatorCoefficients) -> GroupRingElement:
     return u
 
 
-def _checked_subgroup_size(d: int, positions: int, cap: int) -> int:
-    size = 1
-    for _ in range(positions):
-        size *= d
-        if size > cap:
-            raise LimitExceededError(
-                f"subgroup of size {d}^{positions} exceeds the cap {cap}")
-    return size
-
-
 def lamp_subgroup(group: WreathGroup, depth: int, cap: int = DEFAULT_CAP) -> list[WreathElement]:
     """All lamp configurations supported on positions 1 <= |n| <= depth.
 
@@ -112,12 +99,7 @@ def lamp_subgroup(group: WreathGroup, depth: int, cap: int = DEFAULT_CAP) -> lis
     exactly the subgroup they span: d^(2*depth) elements, enumerated in a
     fixed order.
     """
-    positions = [n for n in range(-depth, depth + 1) if n != 0]
-    _checked_subgroup_size(group.d, len(positions), cap)
-    out = []
-    for values in cartesian_product(range(group.d), repeat=len(positions)):
-        out.append(group.element(zip(positions, values)))
-    return out
+    return lamp_configurations(group, [n for n in range(-depth, depth + 1) if n != 0], (0,), cap)
 
 
 def right_annihilator(depth: int, algebra: GroupRing, cap: int = DEFAULT_CAP) -> GroupRingElement:
@@ -172,10 +154,23 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
+        """Load the stored fields and re-verify them from z alone.
+
+        u is rebuilt from z, gamma from the depth of z (which N must
+        equal), and u * gamma is recomputed; ``verified`` holds only if
+        the stored u, gamma and product equal those.  The stored
+        ``verified`` flag is never read.
+        """
         algebra = GroupRing(ScalarRing(int(data["k"])), WreathGroup(int(data["d"])))
         z = RelatorCoefficients.from_json(data["z"], algebra)
-        return cls(z, algebra.from_json(data["u"]), algebra.from_json(data["gamma"]),
+        cert = cls(z, algebra.from_json(data["u"]), algebra.from_json(data["gamma"]),
                    algebra.from_json(data["product"]))
+        u = zerodivisor_from_coefficients(z)
+        gamma = right_annihilator(z.depth, algebra)
+        if int(data["N"]) != z.depth or \
+                (cert.u, cert.gamma, cert.product) != (u, gamma, u * gamma):
+            object.__setattr__(cert, "verified", False)
+        return cert
 
     def __repr__(self) -> str:
         return f"<Certificate verified={self.verified} u={self.u} gamma terms={len(self.gamma)}>"

@@ -13,8 +13,8 @@ emission:
     selftest    run the built-in verification checks
 
 Exit codes: 0 success/verified, 1 verification failed, 2 parse error,
-3 limit exceeded, 4 invalid configuration.  Identical inputs (including
---seed) produce byte-identical output.
+3 limit exceeded, 4 invalid configuration, 5 internal error.  Identical
+inputs (including --seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import certificates, foxwords, oresearch
 from .errors import (ConfigError, LamplighterError, LimitExceededError,
@@ -31,53 +30,14 @@ from .errors import (ConfigError, LamplighterError, LimitExceededError,
 from .groupring import GroupRing
 from .parsing import parse_ring_element
 from .ring import ScalarRing, is_prime
-from .wreath import WreathGroup
+from .wreath import DEFAULT_CAP, WreathGroup
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_LIMIT = 3
 EXIT_CONFIG = 4
-
-
-@dataclass
-class Config:
-    """Validated run parameters shared by the subcommands."""
-
-    d: int = 2
-    modulus: int = 0
-    relator_bound: int = 6
-    depth: int = 1
-    window_lamps: int = 1
-    window_shift: int = 1
-    cap: int = certificates.DEFAULT_CAP
-    seed: int = 0
-    format: str = "text"
-    out: str | None = None
-
-    def validate(self, need_prime: bool = False, need_match: bool = False) -> None:
-        if self.d < 2:
-            raise ConfigError(f"--d must be >= 2, got {self.d}")
-        if self.modulus != 0 and self.modulus < 2:
-            raise ConfigError(f"--mod must be 0 (integers) or >= 2, got {self.modulus}")
-        if need_prime and not is_prime(self.modulus):
-            raise ConfigError(f"--mod must be a prime for this command, got {self.modulus}")
-        if need_match and self.modulus != self.d:
-            raise ConfigError(
-                f"this command needs --mod equal to --d, got {self.modulus} and {self.d}")
-        if self.relator_bound < 0:
-            raise ConfigError(f"--L must be >= 0, got {self.relator_bound}")
-        if self.depth < 0:
-            raise ConfigError(f"--N must be >= 0, got {self.depth}")
-        if self.window_lamps < 0 or self.window_shift < 0:
-            raise ConfigError("window bounds must be >= 0")
-        if self.cap < 1:
-            raise ConfigError(f"--cap must be >= 1, got {self.cap}")
-        if self.format not in ("text", "json"):
-            raise ConfigError(f"--format must be 'text' or 'json', got {self.format!r}")
-
-    def algebra(self) -> GroupRing:
-        return GroupRing(ScalarRing(self.modulus), WreathGroup(self.d))
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +59,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="lamp-position bound of the search window")
     sub.add_argument("--window-shift", type=int, default=1,
                      help="shift bound of the search window")
-    sub.add_argument("--cap", type=int, default=certificates.DEFAULT_CAP,
+    sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
                      help="enumeration cap for windows and subgroup closures")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the randomized selftest checks")
@@ -108,22 +68,34 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _config(args, **kwargs) -> Config:
+def _validate(args, need_prime: bool = False, need_match: bool = False) -> GroupRing:
+    """Check the common parameters (ConfigError, exit code 4, on the first
+    bad one) and return the group ring that --mod and --d name."""
     if args.depth is not None and args.depth < 0:
         raise ConfigError(f"--N must be >= 0, got {args.depth}")
-    cfg = Config(d=args.d, modulus=args.mod, relator_bound=args.relator_bound,
-                 depth=args.depth if args.depth is not None else 0,
-                 window_lamps=args.window_lamps, window_shift=args.window_shift,
-                 cap=args.cap, seed=args.seed, format=args.format, out=args.out)
-    cfg.validate(**kwargs)
-    return cfg
+    if args.d < 2:
+        raise ConfigError(f"--d must be >= 2, got {args.d}")
+    if args.mod != 0 and args.mod < 2:
+        raise ConfigError(f"--mod must be 0 (integers) or >= 2, got {args.mod}")
+    if need_prime and not is_prime(args.mod):
+        raise ConfigError(f"--mod must be a prime for this command, got {args.mod}")
+    if need_match and args.mod != args.d:
+        raise ConfigError(
+            f"this command needs --mod equal to --d, got {args.mod} and {args.d}")
+    if args.relator_bound < 0:
+        raise ConfigError(f"--L must be >= 0, got {args.relator_bound}")
+    if args.window_lamps < 0 or args.window_shift < 0:
+        raise ConfigError("window bounds must be >= 0")
+    if args.cap < 1:
+        raise ConfigError(f"--cap must be >= 1, got {args.cap}")
+    return GroupRing(ScalarRing(args.mod), WreathGroup(args.d))
 
 
-def _emit(cfg: Config, text: str) -> None:
-    if cfg.out is None:
+def _emit(args, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text + "\n")
     else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
@@ -132,95 +104,90 @@ def _dump(data) -> str:
 
 
 def _cmd_mul(args) -> int:
-    cfg = _config(args)
-    algebra = cfg.algebra()
+    algebra = _validate(args)
     product = parse_ring_element(args.left, algebra) * parse_ring_element(args.right, algebra)
-    _emit(cfg, _dump(product.to_json()) if cfg.format == "json" else str(product))
+    _emit(args, _dump(product.to_json()) if args.format == "json" else str(product))
     return EXIT_OK
 
 
 def _cmd_fox(args) -> int:
-    cfg = _config(args)
+    algebra = _validate(args)
     if args.symbol not in foxwords.GENERATOR_SYMBOLS:
         raise ConfigError(f"symbol must be 'a' or 'x', got {args.symbol!r}")
     derivative = foxwords.fox_derivative(foxwords.parse_word(args.word),
-                                         args.symbol, cfg.algebra())
-    _emit(cfg, _dump(derivative.to_json()) if cfg.format == "json" else str(derivative))
+                                         args.symbol, algebra)
+    _emit(args, _dump(derivative.to_json()) if args.format == "json" else str(derivative))
     return EXIT_OK
 
 
 def _cmd_relator(args) -> int:
-    cfg = _config(args)
+    _validate(args)
     if args.index < 0:
         raise ConfigError(f"relator index must be >= 0, got {args.index}")
-    word = foxwords.relator_word(cfg.d, args.index)
-    payload = {"d": cfg.d, "index": args.index, "word": str(word)}
-    _emit(cfg, _dump(payload) if cfg.format == "json" else str(word))
+    word = foxwords.relator_word(args.d, args.index)
+    payload = {"d": args.d, "index": args.index, "word": str(word)}
+    _emit(args, _dump(payload) if args.format == "json" else str(word))
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
-    cfg = _config(args)
-    algebra = cfg.algebra()
+    algebra = _validate(args)
     entries = [parse_ring_element(part.strip(), algebra) for part in args.z.split(";")]
     if args.depth is not None and args.depth != len(entries) - 1:
         raise ConfigError(
             f"--N {args.depth} does not match the {len(entries)} z entries given")
-    cert = certificates.certify(certificates.RelatorCoefficients(entries), cap=cfg.cap)
-    if cfg.format == "json":
-        _emit(cfg, _dump(cert.to_json()))
+    cert = certificates.certify(certificates.RelatorCoefficients(entries), cap=args.cap)
+    if args.format == "json":
+        _emit(args, _dump(cert.to_json()))
     else:
         status = "verified" if cert.verified else "FAILED"
-        _emit(cfg, f"u = {cert.u}\ngamma = {cert.gamma}\n"
-                   f"u*gamma = {cert.product}\n{status}")
+        _emit(args, f"u = {cert.u}\ngamma = {cert.gamma}\n"
+                    f"u*gamma = {cert.product}\n{status}")
     return EXIT_OK if cert.verified else EXIT_FAILED
 
 
 def _cmd_ore_search(args) -> int:
-    cfg = _config(args, need_prime=True)
-    algebra = cfg.algebra()
-    window = oresearch.Window(cfg.window_lamps, cfg.window_shift)
-    report = oresearch.run_search(algebra, window, cap=cfg.cap)
-    if cfg.format == "json":
-        _emit(cfg, _dump(report.to_json()))
+    algebra = _validate(args, need_prime=True)
+    window = oresearch.Window(args.window_lamps, args.window_shift)
+    report = oresearch.run_search(algebra, window, cap=args.cap)
+    if args.format == "json":
+        _emit(args, _dump(report.to_json()))
     else:
-        lines = [f"window lamps<={cfg.window_lamps} shift<={cfg.window_shift}: "
+        lines = [f"window lamps<={args.window_lamps} shift<={args.window_shift}: "
                  f"{report.nullspace_dim} basis solutions, verdict {report.verdict}"]
         for rec in report.solutions:
             witness = rec.annihilator if rec.annihilator is not None else "none found"
             lines.append(f"  sigma = {rec.sigma} | in base ideal: {rec.in_base_ideal} "
                          f"| annihilator: {witness}")
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return EXIT_OK if report.verdict == "consistent" else EXIT_FAILED
 
 
 def _cmd_annihilate(args) -> int:
-    cfg = _config(args)
-    algebra = cfg.algebra()
+    algebra = _validate(args)
     alphas = [parse_ring_element(text, algebra) for text in args.elements]
-    beta = certificates.finite_subgroup_annihilator(alphas, algebra, cap=cfg.cap)
+    beta = certificates.finite_subgroup_annihilator(alphas, algebra, cap=args.cap)
     ok = bool(beta) and all((beta * alpha).is_zero() for alpha in alphas)
-    if cfg.format == "json":
-        _emit(cfg, _dump({"beta": beta.to_json(), "verified": ok}))
+    if args.format == "json":
+        _emit(args, _dump({"beta": beta.to_json(), "verified": ok}))
     else:
-        _emit(cfg, f"beta = {beta}\n{'verified' if ok else 'FAILED'}")
+        _emit(args, f"beta = {beta}\n{'verified' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_FAILED
 
 
 def _cmd_reduce_b2(args) -> int:
-    cfg = _config(args, need_prime=True, need_match=True)
-    algebra = cfg.algebra()
+    algebra = _validate(args, need_prime=True, need_match=True)
     vector = certificates.reduce_mod_ideal_square(parse_ring_element(args.element, algebra))
-    _emit(cfg, _dump(vector.to_json()) if cfg.format == "json" else str(vector))
+    _emit(args, _dump(vector.to_json()) if args.format == "json" else str(vector))
     return EXIT_OK
 
 
-def _selftest_checks(cfg: Config):
-    rng = random.Random(cfg.seed)
+def _selftest_checks(args):
+    rng = random.Random(args.seed)
 
     def closed_fox_forms():
         for d in (2, 3, 4, 5):
-            algebra = GroupRing(ScalarRing(cfg.modulus), WreathGroup(d))
+            algebra = GroupRing(ScalarRing(args.mod), WreathGroup(d))
             group = algebra.group
             a = algebra.monomial(group.generator_a(0))
             one = algebra.one
@@ -240,10 +207,10 @@ def _selftest_checks(cfg: Config):
 
     def fundamental_identity():
         for modulus in (0, 2):
-            algebra = GroupRing(ScalarRing(modulus), WreathGroup(cfg.d))
+            algebra = GroupRing(ScalarRing(modulus), WreathGroup(args.d))
             for _ in range(25):
                 comps = {l: algebra.random_element(rng, terms=2, lamp_bound=1, shift_bound=1)
-                         for l in rng.sample(range(cfg.relator_bound + 1), 2)}
+                         for l in rng.sample(range(args.relator_bound + 1), 2)}
                 z = foxwords.ModuleVector(algebra, "relators", comps)
                 image = foxwords.boundary_from_relators(z)
                 if not foxwords.boundary_from_generators(image).is_zero():
@@ -260,7 +227,7 @@ def _selftest_checks(cfg: Config):
                                                       shift_bound=1)
                                for _ in range(depth + 1)]
                     cert = certificates.certify(
-                        certificates.RelatorCoefficients(entries), cap=cfg.cap)
+                        certificates.RelatorCoefficients(entries), cap=args.cap)
                     if not cert.verified:
                         return False
         return True
@@ -271,15 +238,15 @@ def _selftest_checks(cfg: Config):
 
 
 def _cmd_selftest(args) -> int:
-    cfg = _config(args)
+    _validate(args)
     lines = []
     all_ok = True
-    for name, check in _selftest_checks(cfg):
+    for name, check in _selftest_checks(args):
         ok = check()
         all_ok = all_ok and ok
         lines.append(f"{'ok' if ok else 'FAIL'}: {name}")
     lines.append("selftest passed" if all_ok else "selftest FAILED")
-    _emit(cfg, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return EXIT_OK if all_ok else EXIT_FAILED
 
 
@@ -358,8 +325,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"verification failed: {exc}\n")
         return EXIT_FAILED
     except LamplighterError as exc:
-        sys.stderr.write(f"invalid configuration: {exc}\n")
-        return EXIT_CONFIG
+        # Everything the outside input can cause is caught above.
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -24,7 +24,6 @@ at a caller-chosen highest index L.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import RingMismatchError
 from .groupring import GroupRing, GroupRingElement
@@ -93,12 +92,17 @@ def parse_word(text: str) -> FreeWord:
     return FreeWord(parse_word_letters(text))
 
 
-def evaluate(word: FreeWord, group: WreathGroup) -> WreathElement:
-    """Image of a free word under a -> a[0], x -> x."""
+def _letter_images(group: WreathGroup) -> dict[tuple[str, int], WreathElement]:
+    """Group images of the letters a^+-1, x^+-1 under a -> a[0], x -> x."""
     a = group.generator_a(0)
     x = group.generator_x(1)
-    images = {("a", 1): a, ("a", -1): a.inverse(),
-              ("x", 1): x, ("x", -1): x.inverse()}
+    return {("a", 1): a, ("a", -1): a.inverse(),
+            ("x", 1): x, ("x", -1): x.inverse()}
+
+
+def evaluate(word: FreeWord, group: WreathGroup) -> WreathElement:
+    """Image of a free word under a -> a[0], x -> x."""
+    images = _letter_images(group)
     out = group.identity
     for letter in word.letters:
         out = out * images[letter]
@@ -115,10 +119,7 @@ def fox_derivative(word: FreeWord, symbol: str, algebra: GroupRing) -> GroupRing
     if symbol not in GENERATOR_SYMBOLS:
         raise ValueError(f"unknown generator symbol {symbol!r}")
     group = algebra.group
-    a = group.generator_a(0)
-    x = group.generator_x(1)
-    images = {("a", 1): a, ("a", -1): a.inverse(),
-              ("x", 1): x, ("x", -1): x.inverse()}
+    images = _letter_images(group)
     acc: dict[WreathElement, int] = {}
     prefix = group.identity
     for sym, exp in word.letters:
@@ -130,29 +131,6 @@ def fox_derivative(word: FreeWord, symbol: str, algebra: GroupRing) -> GroupRing
             acc[g] = acc.get(g, 0) + c
         prefix = prefix * images[(sym, exp)]
     return algebra.element(acc.items())
-
-
-class Presentation:
-    """The relator family of Z/dZ wr Z, truncated at highest index L.
-
-    r_0 = a^d has length d; r_l = [a, x^l a x^-l] has length 4l + 4
-    before reduction.  Every relator evaluates to the identity.
-    """
-
-    def __init__(self, group: WreathGroup, max_index: int):
-        if max_index < 0:
-            raise ValueError("truncation index must be >= 0")
-        self.group = group
-        self.max_index = max_index
-
-    def relator(self, l: int) -> FreeWord:
-        if not 0 <= l <= self.max_index:
-            raise ValueError(f"relator index {l} outside 0..{self.max_index}")
-        return relator_word(self.group.d, l)
-
-    def relators(self) -> Iterator[FreeWord]:
-        for l in range(self.max_index + 1):
-            yield self.relator(l)
 
 
 def relator_word(d: int, l: int) -> FreeWord:

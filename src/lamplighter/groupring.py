@@ -117,10 +117,6 @@ class GroupRing:
             pairs.append((g, int(item["coeff"])))
         return self.element(pairs)
 
-    def parse(self, text: str) -> "GroupRingElement":
-        from .parsing import parse_ring_element
-        return parse_ring_element(text, self)
-
 
 class GroupRingElement:
     """A finitely supported formal sum of wreath elements.
@@ -358,11 +354,6 @@ class LaurentElement:
 
     def __repr__(self) -> str:
         return f"<LaurentElement {self} over {self.ring!r}>"
-
-
-def laurent_monomial(ring: ScalarRing, exponent: int, coeff: int = 1) -> LaurentElement:
-    c = ring.canon(coeff)
-    return LaurentElement(ring, {exponent: c} if c else {})
 
 
 def left_mul_matrix(alpha: GroupRingElement,

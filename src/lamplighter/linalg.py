@@ -106,7 +106,8 @@ def nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     """
     r, pivots = rref_mod_p(matrix, p)
     n = np.asarray(matrix).shape[1]
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     basis = np.zeros((len(free), n), dtype=np.int64)
     if free:
         basis[np.arange(len(free)), free] = 1

@@ -23,16 +23,14 @@ deterministic; reports are byte-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as cartesian_product
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LamplighterError, LimitExceededError, UnsupportedRingError
+from .errors import LamplighterError, UnsupportedRingError
 from .groupring import GroupRing, GroupRingElement, left_mul_matrix
 from .linalg import nullspace_mod_p
-from .wreath import WreathElement, WreathGroup
-
-DEFAULT_CAP = 10 ** 6
+from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
 
 
 @dataclass(frozen=True)
@@ -52,18 +50,9 @@ class Window:
 
     def elements(self, group: WreathGroup, cap: int = DEFAULT_CAP) -> list[WreathElement]:
         """All window elements in canonical order (shift, then lamps)."""
-        if self.count(group.d) > cap:
-            raise LimitExceededError(
-                f"window holds {self.count(group.d)} elements, cap is {cap}")
-        positions = range(-self.lamp_bound, self.lamp_bound + 1)
-        configs = [group.element(zip(positions, values))
-                   for values in cartesian_product(range(group.d), repeat=len(positions))]
-        out = []
-        for shift in range(-self.shift_bound, self.shift_bound + 1):
-            for b in configs:
-                out.append(WreathElement(group, b.lamps, shift))
-        out.sort(key=WreathElement.sort_key)
-        return out
+        return sorted(lamp_configurations(group, range(-self.lamp_bound, self.lamp_bound + 1),
+                                          range(-self.shift_bound, self.shift_bound + 1), cap),
+                      key=WreathElement.sort_key)
 
     def widened(self, lamps: int = 1, shift: int = 0) -> "Window":
         return Window(self.lamp_bound + lamps, self.shift_bound + shift)
@@ -88,10 +77,6 @@ class OreSystem:
     extended: tuple[WreathElement, ...]
     matrix: np.ndarray
 
-    @property
-    def unknowns(self) -> int:
-        return 2 * len(self.basis)
-
     def solution_pair(self, vector) -> tuple[GroupRingElement, GroupRingElement]:
         """Reassemble (sigma, alpha) from a coordinate vector."""
         w = len(self.basis)
@@ -109,20 +94,30 @@ def _field_modulus(algebra: GroupRing) -> int:
     return algebra.ring.modulus
 
 
+def _ore_pair(algebra: GroupRing) -> tuple[GroupRingElement, GroupRingElement]:
+    """The elements 1 - a and 1 - x of the Ore equation."""
+    group = algebra.group
+    return (algebra.one - algebra.monomial(group.generator_a(0)),
+            algebra.one - algebra.monomial(group.generator_x(1)))
+
+
+def _product_support(factors: Iterable[GroupRingElement],
+                     domain: Sequence[WreathElement]) -> tuple[WreathElement, ...]:
+    """Sorted union of the supports of f * g, f in factors, g in domain."""
+    support: set[WreathElement] = set()
+    for g in domain:
+        for factor in factors:
+            for h in factor.terms:
+                support.add(h * g)
+    return tuple(sorted(support, key=WreathElement.sort_key))
+
+
 def build_system(algebra: GroupRing, window: Window, cap: int = DEFAULT_CAP) -> OreSystem:
     """Set up the window-bounded equation (1 - a) sigma = (1 - x) alpha."""
     p = _field_modulus(algebra)
-    group = algebra.group
-    basis = window.elements(group, cap)
-    one = algebra.one
-    one_minus_a = one - algebra.monomial(group.generator_a(0))
-    one_minus_x = one - algebra.monomial(group.generator_x(1))
-    support: set[WreathElement] = set()
-    for g in basis:
-        for factor in (one_minus_a, one_minus_x):
-            for h in factor.terms:
-                support.add(h * g)
-    extended = tuple(sorted(support, key=WreathElement.sort_key))
+    basis = window.elements(algebra.group, cap)
+    one_minus_a, one_minus_x = _ore_pair(algebra)
+    extended = _product_support((one_minus_a, one_minus_x), basis)
     a_block = left_mul_matrix(one_minus_a, basis, extended)
     x_block = left_mul_matrix(one_minus_x, basis, extended)
     matrix = np.hstack([a_block, (-x_block) % p])
@@ -145,13 +140,8 @@ def annihilator_search(sigma: GroupRingElement, search_window: Window,
     if sigma.is_zero():
         raise ValueError("annihilator search needs a nonzero element")
     p = _field_modulus(sigma.algebra)
-    group = sigma.group
-    domain = search_window.elements(group, cap)
-    support: set[WreathElement] = set()
-    for g in domain:
-        for h in sigma.terms:
-            support.add(h * g)
-    codomain = tuple(sorted(support, key=WreathElement.sort_key))
+    domain = search_window.elements(sigma.group, cap)
+    codomain = _product_support((sigma,), domain)
     matrix = left_mul_matrix(sigma, domain, codomain)
     kernel = nullspace_mod_p(matrix, p)
     if kernel.shape[0] == 0:
@@ -230,15 +220,12 @@ def run_search(algebra: GroupRing, window: Window,
         annihilator_window = window.widened(lamps=1)
     system = build_system(algebra, window, cap)
     vectors = nullspace(system)
-    group = algebra.group
-    one_minus_a = algebra.one - algebra.monomial(group.generator_a(0))
-    one_minus_x = algebra.one - algebra.monomial(group.generator_x(1))
+    one_minus_a, one_minus_x = _ore_pair(algebra)
     records = []
     for vec in vectors:
         sigma, alpha = system.solution_pair(vec)
         if one_minus_a * sigma != one_minus_x * alpha:
-            raise LamplighterError(
-                "internal error: kernel vector fails exact re-substitution")
+            raise LamplighterError("kernel vector fails exact re-substitution")
         records.append(check_solution(sigma, alpha, annihilator_window, cap))
     ok = all((d != p or rec.in_base_ideal) for rec in records) and \
         all(rec.sigma.is_zero() or rec.annihilator is not None for rec in records)

@@ -15,9 +15,10 @@ they serve directly as group-ring support keys.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from itertools import product as cartesian_product
+from typing import Iterable, Mapping, Sequence
 
-from .errors import RingMismatchError
+from .errors import LimitExceededError, RingMismatchError
 
 Lamps = tuple[tuple[int, int], ...]
 
@@ -171,3 +172,23 @@ class WreathElement:
 
     def __repr__(self) -> str:
         return f"WreathElement(d={self.group.d}, {self})"
+
+
+# Default bound on the elements one enumeration may build (CLI --cap).
+DEFAULT_CAP = 10 ** 6
+
+
+def lamp_configurations(group: WreathGroup, positions: Sequence[int],
+                        shifts: Sequence[int], cap: int) -> list[WreathElement]:
+    """Every b * x^n with b supported on ``positions`` and n in ``shifts``.
+
+    The d^len(positions) * len(shifts) elements are counted against
+    ``cap`` before any is built.  Order: shifts as given, then lamp values
+    lexicographically over ``positions``.
+    """
+    count = group.d ** len(positions) * len(shifts)
+    if count > cap:
+        raise LimitExceededError(f"enumeration of {count} elements exceeds the cap {cap}")
+    configs = [group.element(zip(positions, values)).lamps
+               for values in cartesian_product(range(group.d), repeat=len(positions))]
+    return [WreathElement(group, lamps, n) for n in shifts for lamps in configs]

@@ -124,6 +124,36 @@ def test_certificate_json_round_trip():
     assert back.verified == cert.verified
 
 
+def _tamper_u(data, algebra):
+    # 1 + x is not a zerodivisor, yet the product claims u * gamma = 0
+    data["u"] = (algebra.one + algebra.monomial(algebra.group.generator_x(1))).to_json()
+    data["product"] = []
+
+
+def _tamper_gamma(data, algebra):
+    # 2 * gamma is still annihilated by u, so u * gamma = 0 stays true
+    data["gamma"] = algebra.from_json(data["gamma"]).scale(2).to_json()
+
+
+def _tamper_product(data, algebra):
+    data["product"] = algebra.one.to_json()
+
+
+def _tamper_depth(data, algebra):
+    data["N"] = -1
+
+
+@pytest.mark.parametrize("tamper", [_tamper_u, _tamper_gamma, _tamper_product, _tamper_depth])
+def test_certificate_from_json_recomputes(tamper):
+    rng = random.Random(73)
+    entries = [random_ring_element(rng, F3G3, terms=2) for _ in range(2)]
+    data = certify(RelatorCoefficients(entries)).to_json()
+    assert Certificate.from_json(data).verified
+    tamper(data, F3G3)
+    assert data["verified"] is True
+    assert not Certificate.from_json(data).verified
+
+
 def test_subgroup_annihilator_cyclic_case():
     for algebra in (ZG2, ZG3):
         d = algebra.group.d

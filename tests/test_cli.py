@@ -1,5 +1,10 @@
+import hashlib
 import json
 
+import numpy as np
+import pytest
+
+from lamplighter import oresearch
 from lamplighter.cli import main
 
 
@@ -155,3 +160,82 @@ def test_certify_writes_certificate_file(tmp_path, capsys):
     cert = Certificate.from_json(json.loads(target.read_text()))
     assert cert.verified
     assert (cert.u * cert.gamma).is_zero()
+
+
+GOLDEN_ARGV = {
+    "mul": ["mul", "--d", "2", "--mod", "0", "1 - a[0] + 2*x", "a[1]*x^-1 - 3"],
+    "fox": ["fox", "--d", "3", "--mod", "3", "[a, x^2 a x^-2]", "a"],
+    "relator": ["relator", "--d", "3", "2"],
+    "certify": ["certify", "--d", "2", "--mod", "4", "--z", "x; 1 + a[0]; a[1] - x^-1"],
+    "ore-search": ["ore-search", "--d", "2", "--mod", "2", "--window-lamps", "1",
+                   "--window-shift", "1"],
+    "ore-search-d-ne-p": ["ore-search", "--d", "2", "--mod", "3", "--window-lamps", "1",
+                          "--window-shift", "0"],
+    "annihilate": ["annihilate", "--d", "3", "--mod", "3", "1 - a[0]", "x - a[1]*x"],
+    "annihilate-not-in-ideal": ["annihilate", "--d", "2", "1 + a[0]"],
+    "reduce-b2": ["reduce-b2", "--d", "3", "--mod", "3", "1 - a[-2] + a[1]^2 - a[0]"],
+    "selftest": ["selftest", "--seed", "3"],
+    "parse-error": ["mul", "--d", "2", "1 - a[0", "1"],
+    "limit-exceeded": ["certify", "--d", "3", "--cap", "10", "--z", "0;0;0;1"],
+    "window-cap-exceeded": ["ore-search", "--d", "2", "--mod", "2", "--cap", "10"],
+    "closure-cap-exceeded": ["annihilate", "--d", "2", "--cap", "3", "1 - a[0]", "1 - a[1]"],
+    "negative-depth": ["certify", "--N", "-1", "--z", "0"],
+    "invalid-config": ["ore-search", "--d", "2", "--mod", "4"],
+}
+
+# (case, format, exit code, sha256 of stdout).  Stdout and exit codes are
+# part of the interface: a change that alters them on purpose updates
+# these values and says so.
+GOLDEN = [
+    ("mul", "text", 0, "df815c54f792b6538d34bb7593b201cb23fe56fe50854b0ffe099d9f045e005e"),
+    ("mul", "json", 0, "a3f83769f2c96efaf7b7b21ea44d354a76b6f08e5d7a03256f99c5fed2565ca6"),
+    ("fox", "text", 0, "e597636c8c95dc940171d0fd24a28da190f5c4fdbb353d36f8053a39666e8889"),
+    ("fox", "json", 0, "2af18a15c3423a847c960c84eb005ade2b919fd257cffd7143e611579d1466e1"),
+    ("relator", "text", 0, "58bbaaf7ce7c682110b6b72d0e0b0d823cc9c641e3c051477faf4eda5c6c9932"),
+    ("relator", "json", 0, "04ec06a0f088e5ac90c4621e0a14a0faf78e44f60d584de88b798eb05b72ae24"),
+    ("certify", "text", 0, "a42c2906e53880fb11f0114b77de3e3f1e6223d04f1be359ee11c892cfb003d2"),
+    ("certify", "json", 0, "54a51ff7b1a1ef76dcdd3ab80dd946cf96615fc19791dc812efa9311b942d0f8"),
+    ("ore-search", "text", 0, "786ba27fdd095186fb3ab4c20484cab46427c5282835e37ad50e1746ea47507f"),
+    ("ore-search", "json", 0, "aba371b82410662f16e75bf358019985b50fd9b8d03f2e48ee1a41867141c738"),
+    ("ore-search-d-ne-p", "text", 0, "b05682a12bd0aa4a372aaf1a8ae28b7b5403b462c938732627b64ea447c23ef0"),
+    ("ore-search-d-ne-p", "json", 0, "2a202266d0e996e2856528c2a11197a8e048ff576ebf74d402dd2e012a925988"),
+    ("annihilate", "text", 0, "f9e4e5d441c7491449f041c97322f89f0a35535402acfb66c1b81de8047d9047"),
+    ("annihilate", "json", 0, "10f413bc930d4be8b4e205364be65c35846f71b753cc000b543b026021770fbd"),
+    ("annihilate-not-in-ideal", "text", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("annihilate-not-in-ideal", "json", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("reduce-b2", "text", 0, "f9b1477b99b48f87825fb496e89cef09c8fd092eab0cc5e1f276de6d9c1495c3"),
+    ("reduce-b2", "json", 0, "6c392ce7387c7517bab1e9164551b7a5b8ab397d4e3fd4b104a69e4def63f927"),
+    ("selftest", "text", 0, "a88bb973ba4a5a6ebce58df144951366f60bc440148516481395bc62561fc841"),
+    ("selftest", "json", 0, "a88bb973ba4a5a6ebce58df144951366f60bc440148516481395bc62561fc841"),
+    ("parse-error", "text", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("parse-error", "json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("limit-exceeded", "text", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("limit-exceeded", "json", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("window-cap-exceeded", "text", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("window-cap-exceeded", "json", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("closure-cap-exceeded", "text", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("closure-cap-exceeded", "json", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("negative-depth", "text", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("negative-depth", "json", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("invalid-config", "text", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("invalid-config", "json", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("name,fmt,code,digest", GOLDEN)
+def test_stdout_and_exit_code_are_pinned(capsys, name, fmt, code, digest):
+    got_code, out, _ = run_cli(capsys, *GOLDEN_ARGV[name], "--format", fmt)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def wrong_kernel(system):
+        return [np.ones(system.matrix.shape[1], dtype=np.int64)]
+
+    monkeypatch.setattr(oresearch, "nullspace", wrong_kernel)
+    code, out, err = run_cli(capsys, "ore-search", "--d", "2", "--mod", "2",
+                             "--window-lamps", "0", "--window-shift", "0")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal error: ")

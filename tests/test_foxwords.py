@@ -3,9 +3,9 @@ import random
 import pytest
 
 from conftest import random_free_word, random_ring_element
-from lamplighter.foxwords import (FreeWord, ModuleVector, Presentation,
-                                  boundary_from_generators, boundary_from_relators,
-                                  evaluate, fox_derivative, parse_word, relator_word)
+from lamplighter.foxwords import (FreeWord, ModuleVector, boundary_from_generators,
+                                  boundary_from_relators, evaluate, fox_derivative,
+                                  parse_word, relator_word)
 from lamplighter.groupring import GroupRing, GroupRingElement
 from lamplighter.ring import INTEGERS, ScalarRing
 from lamplighter.wreath import WreathGroup
@@ -58,15 +58,6 @@ def test_relators_evaluate_to_identity():
         for l in range(0, 6):
             assert evaluate(relator_word(d, l), group).is_identity()
     assert evaluate(FreeWord(()), G2).is_identity()
-
-
-def test_presentation_truncation():
-    pres = Presentation(G2, 3)
-    assert [len(r) for r in pres.relators()] == [2, 8, 12, 16]
-    with pytest.raises(ValueError):
-        pres.relator(4)
-    with pytest.raises(ValueError):
-        Presentation(G2, -1)
 
 
 def test_evaluate_random_words_is_a_homomorphism():
