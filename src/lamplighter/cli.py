@@ -60,7 +60,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--window-shift", type=int, default=1,
                      help="shift bound of the search window")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                     help="enumeration cap for windows and subgroup closures")
+                     help="enumeration cap on the window elements of ore-search, the "
+                          "lamp subgroup behind a certificate's gamma and the subgroup "
+                          "closure of annihilate")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the randomized selftest checks")
     sub.add_argument("--format", choices=("text", "json"), default="text",

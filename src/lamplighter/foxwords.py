@@ -143,7 +143,9 @@ def relator_word(d: int, l: int) -> FreeWord:
                     + (("a", -1),) + xs + (("a", -1),) + xsi)
 
 
-@lru_cache(maxsize=None)
+# One entry per (ring, relator index l, symbol): four rings with l <= 8
+# take 72.  The bound leaves ample room and keeps a long process bounded.
+@lru_cache(maxsize=1024)
 def relator_fox_derivative(algebra: GroupRing, l: int, symbol: str) -> GroupRingElement:
     """Cached d(r_l)/d(symbol) in the given group ring."""
     return fox_derivative(relator_word(algebra.group.d, l), symbol, algebra)

@@ -9,7 +9,9 @@ Beyond the ring operations this module provides
   quotient b * x^n -> x^n, whose kernel is the ideal generated by the
   base group's augmentation ideal, and
 * dense coefficient matrices of left-multiplication maps restricted to
-  finite supports, which feed the Ore-equation solver.
+  finite supports, which feed the Ore-equation solver.  They are built
+  from integer-coded elements (:class:`CodedElements`), not from
+  per-cell products of wreath elements.
 
 Coefficients are stored internally as canonical Python ints for speed;
 :class:`~lamplighter.ring.Scalar` values appear at the API boundary.
@@ -21,7 +23,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import RingMismatchError, UnsupportedRingError, WindowOverflowError
+from .errors import (LimitExceededError, RingMismatchError, UnsupportedRingError,
+                     WindowOverflowError)
+from .linalg import working_dtype
 from .ring import Scalar, ScalarRing
 from .wreath import WreathElement, WreathGroup
 
@@ -356,27 +360,165 @@ class LaurentElement:
         return f"<LaurentElement {self} over {self.ring!r}>"
 
 
+class CodedElements:
+    """Group elements as integer arrays, for index arithmetic without
+    building :class:`~lamplighter.wreath.WreathElement` objects.
+
+    Element i is the lamp configuration ``digits[i]`` (column k holds the
+    base-d digit of position ``lo + k``) times x^``shifts[i]``.
+    """
+
+    __slots__ = ("group", "lo", "shifts", "digits")
+
+    def __init__(self, group: WreathGroup, lo: int, shifts: np.ndarray, digits: np.ndarray):
+        self.group = group
+        self.lo = lo
+        self.shifts = shifts
+        self.digits = digits
+
+    @classmethod
+    def encode(cls, group: WreathGroup, elements: Sequence[WreathElement]) -> "CodedElements":
+        """The elements in order, over the range of positions their lamps use."""
+        rows, positions, values = [], [], []
+        for i, g in enumerate(elements):
+            if g.group != group:
+                raise RingMismatchError(f"{g!r} does not live in {group!r}")
+            for pos, val in g.lamps:
+                rows.append(i)
+                positions.append(pos)
+                values.append(val)
+        lo = min(positions, default=0)
+        width = max(positions, default=lo - 1) - lo + 1
+        digits = np.zeros((len(elements), width), dtype=np.int64)
+        digits[rows, np.array(positions, dtype=np.int64) - lo] = values
+        shifts = np.array([g.shift for g in elements], dtype=np.int64)
+        return cls(group, lo, shifts, digits)
+
+    def __len__(self) -> int:
+        return len(self.shifts)
+
+    def take(self, index) -> "CodedElements":
+        return CodedElements(self.group, self.lo, self.shifts[index], self.digits[index])
+
+    def decode(self) -> list[WreathElement]:
+        lo, group = self.lo, self.group
+        return [WreathElement(group, tuple((lo + k, v) for k, v in enumerate(row) if v), n)
+                for row, n in zip(self.digits.tolist(), self.shifts.tolist())]
+
+    def left_translates(self, hs: Sequence[WreathElement]) -> "CodedElements":
+        """Every h * g, h-major: row k * len(self) + j is hs[k] * self[j].
+
+        h * g adds the digits of g, moved up by the shift of h, to the
+        lamps of h mod d, and adds the shifts.
+        """
+        n, width = self.digits.shape
+        ends = [p for h in hs for p in (self.lo + h.shift, self.lo + h.shift + width - 1)]
+        ends += [pos for h in hs for pos, _ in h.lamps]
+        lo = min(ends, default=0)
+        digits = np.zeros((len(hs) * n, max(ends, default=lo - 1) - lo + 1), dtype=np.int64)
+        shifts = np.empty(len(hs) * n, dtype=np.int64)
+        for k, h in enumerate(hs):
+            if h.group != self.group:
+                raise RingMismatchError(f"{h!r} does not live in {self.group!r}")
+            block = digits[k * n:(k + 1) * n]
+            start = self.lo + h.shift - lo
+            block[:, start:start + width] = self.digits
+            for pos, val in h.lamps:
+                block[:, pos - lo] += val
+            shifts[k * n:(k + 1) * n] = self.shifts + h.shift
+        digits %= self.group.d
+        return CodedElements(self.group, lo, shifts, digits)
+
+
+def element_codes(*tables: CodedElements) -> list[np.ndarray]:
+    """One sortable code per row of each table, equal iff the elements are.
+
+    All tables are read in one frame: the shift offset and each lamp
+    digit are mixed-radix digits, packed into as many int64 words as
+    exactness needs.  One word gives an int64 code; several give a
+    fixed-width byte string, so no window overflows the code.
+    """
+    used = [t for t in tables if len(t)]
+    if not used:
+        return [np.zeros(0, dtype=np.int64) for _ in tables]
+    lo = min(t.lo for t in used)
+    hi = max(t.lo + t.digits.shape[1] for t in used)
+    low = min(int(t.shifts.min()) for t in used)
+    high = max(int(t.shifts.max()) for t in used)
+    radices = [high - low + 1] + [used[0].group.d] * (hi - lo)
+    words, start = [], 0          # column ranges and place values of each word
+    while start < len(radices):
+        stop, span = start, 1
+        while stop < len(radices) and (stop == start or span * radices[stop] <= 2 ** 63):
+            span *= radices[stop]
+            stop += 1
+        places = [1] * (stop - start)
+        for i in range(stop - start - 2, -1, -1):
+            places[i] = places[i + 1] * radices[start + i + 1]
+        words.append((start, stop, np.array(places, dtype=np.int64)))
+        start = stop
+    codes = []
+    for t in tables:
+        columns = np.zeros((len(t), len(radices)), dtype=np.int64)
+        columns[:, 0] = t.shifts - low
+        columns[:, 1 + t.lo - lo:1 + t.lo - lo + t.digits.shape[1]] = t.digits
+        packed = np.stack([columns[:, a:b] @ places for a, b, places in words], axis=1)
+        codes.append(packed[:, 0] if len(words) == 1 else
+                     np.ascontiguousarray(packed).view(np.dtype((np.void, 8 * len(words))))[:, 0])
+    return codes
+
+
+# Bound on the cells (rows x columns) of a dense coefficient matrix,
+# checked before it is allocated.  The largest matrix of the GF(2), d = 2
+# searches up to window (3,3) has 34,865,152 cells; the system of window
+# (4,4) would have 66,060,288.
+MAX_MATRIX_CELLS = 5 * 10 ** 7
+
+
+def check_matrix_cells(rows: int, cols: int) -> None:
+    """Raise :class:`LimitExceededError` for a matrix over the cell bound."""
+    if rows * cols > MAX_MATRIX_CELLS:
+        raise LimitExceededError(f"a {rows} x {cols} matrix exceeds the bound of "
+                                 f"{MAX_MATRIX_CELLS} cells")
+
+
 def left_mul_matrix(alpha: GroupRingElement,
-                    domain: Sequence[WreathElement],
-                    codomain: Sequence[WreathElement]) -> np.ndarray:
+                    domain: Sequence[WreathElement] | CodedElements,
+                    codomain: Sequence[WreathElement] | None = None) -> np.ndarray:
     """Coefficient matrix of g -> alpha * g on finite supports.
 
-    Column j holds the coefficient vector of ``alpha * domain[j]`` in the
-    ``codomain`` basis.  Entries are canonical representatives of the
-    coefficient field.  Raises :class:`WindowOverflowError` if any product
-    has support outside ``codomain``.
+    Column j holds the coefficient vector of ``alpha * domain[j]``.  Rows
+    follow ``codomain``; without one they are the distinct products in
+    code order (see :func:`element_codes`), which no kernel depends on.
+    Entries are canonical representatives of the coefficient field.
+    Raises :class:`WindowOverflowError` if a product has support outside
+    ``codomain`` and :class:`LimitExceededError` if the matrix would have
+    more than ``MAX_MATRIX_CELLS`` cells (see :func:`check_matrix_cells`).
     """
     ring = alpha.ring
     if not ring.is_field:
         raise UnsupportedRingError(f"left_mul_matrix needs field coefficients, got {ring!r}")
-    index = {g: i for i, g in enumerate(codomain)}
-    mat = np.zeros((len(codomain), len(domain)), dtype=np.int64)
-    for j, g in enumerate(domain):
-        for h, c in alpha.terms.items():
-            k = h * g
-            i = index.get(k)
-            if i is None:
-                raise WindowOverflowError(
-                    f"support of alpha*{g} escapes the codomain at {k}")
-            mat[i, j] = ring.canon(mat[i, j] + c)
+    if not isinstance(domain, CodedElements):
+        domain = CodedElements.encode(alpha.group, domain)
+    products = domain.left_translates(list(alpha.terms))
+    if codomain is None:
+        table, rows = np.unique(element_codes(products)[0], return_inverse=True)
+        height = len(table)
+    else:
+        codes, table = element_codes(products, CodedElements.encode(alpha.group, codomain))
+        order = np.argsort(table, kind="stable")
+        found = np.searchsorted(table, codes, sorter=order)
+        hit = found < len(table)
+        hit[hit] = table[order[found[hit]]] == codes[hit]
+        if not hit.all():
+            i = int(np.argmin(hit))
+            g = domain.take([i % len(domain)]).decode()[0]
+            k = products.take([i]).decode()[0]
+            raise WindowOverflowError(f"support of alpha*{g} escapes the codomain at {k}")
+        rows, height = order[found], len(codomain)
+    check_matrix_cells(height, len(domain))
+    mat = np.zeros((height, len(domain)), dtype=working_dtype(ring.modulus))
+    # h * g = h' * g forces h = h', so every cell is written at most once.
+    mat[rows, np.tile(np.arange(len(domain)), len(alpha.terms))] = \
+        np.repeat(np.array(list(alpha.terms.values()), dtype=mat.dtype), len(domain))
     return mat

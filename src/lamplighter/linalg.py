@@ -24,10 +24,19 @@ def _check_prime(p: int) -> None:
         raise UnsupportedRingError(f"linear algebra needs a prime modulus, got {p}")
 
 
-def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def working_dtype(p: int):
+    """int16 when it holds entry - entry * entry for entries in [0, p), else int64."""
+    return np.int16 if (p - 1) * (p - 1) + p <= np.iinfo(np.int16).max else np.int64
+
+
+def rref_mod_p(matrix: np.ndarray, p: int,
+               stop_at_free: bool = False) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p).
 
-    Returns (R, pivot_columns) where R holds only the nonzero rows.
+    Returns (R, pivot_columns) where R holds only the nonzero rows.  With
+    ``stop_at_free`` elimination stops at the first column without a
+    pivot: the pivots are then exactly the columns before it, and R holds
+    their rows, fully reduced up to and including that column.
     """
     _check_prime(p)
     a = np.asarray(matrix)
@@ -36,10 +45,8 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     if a.size == 0:
         return np.zeros((0, a.shape[1]), dtype=np.int64), []
     if p == 2:
-        return _rref_gf2(a)
-    # Work in a dtype wide enough for entry - entry * entry.
-    dtype = np.int16 if (p - 1) * (p - 1) + p <= np.iinfo(np.int16).max else np.int64
-    r = (a % p).astype(dtype)
+        return _rref_gf2(a, stop_at_free)
+    r = np.asarray(a % p, dtype=working_dtype(p))
     m, n = r.shape
     row = 0
     pivots: list[int] = []
@@ -48,6 +55,8 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             break
         nz = np.nonzero(r[row:, col])[0]
         if nz.size == 0:
+            if stop_at_free:
+                break
             continue
         pivot = row + int(nz[0])
         if pivot != row:
@@ -64,7 +73,7 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r[:row].astype(np.int64), pivots
 
 
-def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _rref_gf2(a: np.ndarray, stop_at_free: bool) -> tuple[np.ndarray, list[int]]:
     """GF(2) elimination on rows packed into uint64 words."""
     m, n = a.shape
     packed = np.packbits((a % 2).astype(np.uint8), axis=1)
@@ -82,6 +91,8 @@ def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         column = words[:, byte_index] & byte_bit
         nz = np.nonzero(column[row:])[0]
         if nz.size == 0:
+            if stop_at_free:
+                break
             continue
         pivot = row + int(nz[0])
         if pivot != row:
@@ -114,6 +125,31 @@ def nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
         if pivots:
             basis[:, pivots] = (-r[:, free].T) % p
     return basis
+
+
+def first_kernel_vector(matrix: np.ndarray, p: int) -> np.ndarray | None:
+    """``nullspace_mod_p(matrix, p)[0]``, or None for an injective matrix.
+
+    That vector belongs to the first free column f and reads only R[:, f]
+    of the pivot rows left of f.  An RREF prefix is the RREF of the column
+    prefix, so elimination runs on column prefixes of growing width and
+    stops at f.
+    """
+    a = np.asarray(matrix)
+    n = a.shape[1]
+    width = min(n, 32)
+    while True:
+        r, pivots = rref_mod_p(a[:, :width], p, stop_at_free=True)
+        free = len(pivots)      # every column before the first free one has a pivot
+        if free < width:
+            break
+        if width == n:
+            return None
+        width = min(4 * width, n)
+    vector = np.zeros(n, dtype=np.int64)
+    vector[free] = 1
+    vector[:free] = (-r[:free, free]) % p
+    return vector
 
 
 def matrix_rank_mod_p(matrix: np.ndarray, p: int) -> int:

@@ -23,13 +23,14 @@ deterministic; reports are byte-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import LamplighterError, UnsupportedRingError
-from .groupring import GroupRing, GroupRingElement, left_mul_matrix
-from .linalg import nullspace_mod_p
+from .groupring import (CodedElements, GroupRing, GroupRingElement, check_matrix_cells,
+                        element_codes, left_mul_matrix)
+from .linalg import first_kernel_vector, nullspace_mod_p
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
 
 
@@ -44,9 +45,6 @@ class Window:
     def __post_init__(self):
         if self.lamp_bound < 0 or self.shift_bound < 0:
             raise ValueError("window bounds must be >= 0")
-
-    def count(self, d: int) -> int:
-        return d ** (2 * self.lamp_bound + 1) * (2 * self.shift_bound + 1)
 
     def elements(self, group: WreathGroup, cap: int = DEFAULT_CAP) -> list[WreathElement]:
         """All window elements in canonical order (shift, then lamps)."""
@@ -80,11 +78,13 @@ class OreSystem:
     def solution_pair(self, vector) -> tuple[GroupRingElement, GroupRingElement]:
         """Reassemble (sigma, alpha) from a coordinate vector."""
         w = len(self.basis)
-        sigma = self.algebra.element(
-            [(g, int(vector[j])) for j, g in enumerate(self.basis)])
-        alpha = self.algebra.element(
-            [(g, int(vector[w + j])) for j, g in enumerate(self.basis)])
-        return sigma, alpha
+        return (_combination(self.algebra, self.basis, vector[:w]),
+                _combination(self.algebra, self.basis, vector[w:]))
+
+
+def _combination(algebra: GroupRing, elements, vector) -> GroupRingElement:
+    """The element sum of vector[j] * elements[j]."""
+    return algebra.element([(elements[j], int(vector[j])) for j in np.flatnonzero(vector)])
 
 
 def _field_modulus(algebra: GroupRing) -> int:
@@ -101,26 +101,24 @@ def _ore_pair(algebra: GroupRing) -> tuple[GroupRingElement, GroupRingElement]:
             algebra.one - algebra.monomial(group.generator_x(1)))
 
 
-def _product_support(factors: Iterable[GroupRingElement],
-                     domain: Sequence[WreathElement]) -> tuple[WreathElement, ...]:
+def _product_support(factors: tuple[GroupRingElement, ...],
+                     domain: CodedElements) -> tuple[WreathElement, ...]:
     """Sorted union of the supports of f * g, f in factors, g in domain."""
-    support: set[WreathElement] = set()
-    for g in domain:
-        for factor in factors:
-            for h in factor.terms:
-                support.add(h * g)
-    return tuple(sorted(support, key=WreathElement.sort_key))
+    products = domain.left_translates(list(dict.fromkeys(h for f in factors for h in f.terms)))
+    _, first = np.unique(element_codes(products)[0], return_index=True)
+    return tuple(sorted(products.take(first).decode(), key=WreathElement.sort_key))
 
 
 def build_system(algebra: GroupRing, window: Window, cap: int = DEFAULT_CAP) -> OreSystem:
     """Set up the window-bounded equation (1 - a) sigma = (1 - x) alpha."""
-    p = _field_modulus(algebra)
+    _field_modulus(algebra)     # rejects coefficients outside GF(p) before enumerating
     basis = window.elements(algebra.group, cap)
+    coded = CodedElements.encode(algebra.group, basis)
     one_minus_a, one_minus_x = _ore_pair(algebra)
-    extended = _product_support((one_minus_a, one_minus_x), basis)
-    a_block = left_mul_matrix(one_minus_a, basis, extended)
-    x_block = left_mul_matrix(one_minus_x, basis, extended)
-    matrix = np.hstack([a_block, (-x_block) % p])
+    extended = _product_support((one_minus_a, one_minus_x), coded)
+    check_matrix_cells(len(extended), 2 * len(basis))
+    matrix = np.hstack([left_mul_matrix(one_minus_a, coded, extended),
+                        left_mul_matrix(-one_minus_x, coded, extended)])
     return OreSystem(algebra, window, tuple(basis), extended, matrix)
 
 
@@ -130,24 +128,34 @@ def nullspace(system: OreSystem) -> list[np.ndarray]:
     return list(nullspace_mod_p(system.matrix, p))
 
 
+@lru_cache(maxsize=8)
+def _coded_window(group: WreathGroup, window: Window,
+                  cap: int) -> tuple[tuple[WreathElement, ...], CodedElements]:
+    """The window's elements and their codes, built once for all searches."""
+    elements = tuple(window.elements(group, cap))
+    coded = CodedElements.encode(group, elements)
+    coded.shifts.flags.writeable = coded.digits.flags.writeable = False   # shared
+    return elements, coded
+
+
 def annihilator_search(sigma: GroupRingElement, search_window: Window,
                        cap: int = DEFAULT_CAP) -> GroupRingElement | None:
     """Any nonzero w supported in the window with sigma * w = 0, else None.
 
     None is inconclusive: it never certifies that sigma is a
-    non-zerodivisor, only that no annihilator lives in this window.
+    non-zerodivisor, only that no annihilator lives in this window.  The
+    witness is the first vector of the canonical kernel basis (see
+    linalg.first_kernel_vector); the matrix rows stay in code order,
+    which the kernel does not depend on.
     """
     if sigma.is_zero():
         raise ValueError("annihilator search needs a nonzero element")
     p = _field_modulus(sigma.algebra)
-    domain = search_window.elements(sigma.group, cap)
-    codomain = _product_support((sigma,), domain)
-    matrix = left_mul_matrix(sigma, domain, codomain)
-    kernel = nullspace_mod_p(matrix, p)
-    if kernel.shape[0] == 0:
+    domain, coded = _coded_window(sigma.group, search_window, cap)
+    first = first_kernel_vector(left_mul_matrix(sigma, coded), p)
+    if first is None:
         return None
-    first = kernel[0]
-    return sigma.algebra.element([(g, int(first[j])) for j, g in enumerate(domain)])
+    return _combination(sigma.algebra, domain, first)
 
 
 @dataclass(frozen=True)

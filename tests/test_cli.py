@@ -239,3 +239,13 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+def test_oversized_matrix_exit_code(capsys):
+    # The (4,4) window passes the element cap, but its system matrix
+    # exceeds the dense-cell bound and is refused before it is built.
+    code, out, err = run_cli(capsys, "ore-search", "--d", "2", "--mod", "2",
+                             "--window-lamps", "4", "--window-shift", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "limit exceeded: a 7168 x 9216 matrix exceeds the bound of 50000000 cells\n"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lamplighter.errors import UnsupportedRingError
-from lamplighter.linalg import matrix_rank_mod_p, nullspace_mod_p, rref_mod_p
+from lamplighter.linalg import (first_kernel_vector, matrix_rank_mod_p, nullspace_mod_p,
+                               rref_mod_p)
 
 
 def reference_rref(matrix, p):
@@ -105,3 +106,28 @@ def test_non_prime_modulus_rejected():
         rref_mod_p(np.eye(2, dtype=int), 4)
     with pytest.raises(UnsupportedRingError):
         nullspace_mod_p(np.eye(2, dtype=int), 6)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_first_kernel_vector_is_the_first_basis_vector(p):
+    # Early-stopped elimination against the full kernel basis: tall, wide,
+    # zero-row and zero-column shapes, full-rank and rank-deficient
+    # entries, and widths past the column prefixes it eliminates first.
+    rng = np.random.default_rng(500 + p)
+    shapes = [(0, 0), (4, 0), (0, 5), (200, 150), (60, 150), (150, 40), (300, 140)]
+    for _ in range(30):
+        n = int(rng.integers(1, 12))
+        shapes.append((n + int(rng.integers(0, 6)), n))
+        shapes.append((int(rng.integers(1, 8)), int(rng.integers(8, 40))))
+    outcomes = set()
+    for m, n in shapes:
+        for rank in sorted({min(m, n), int(rng.integers(0, min(m, n) + 1))}):
+            mat = (rng.integers(0, p, (m, rank)) @ rng.integers(0, p, (rank, n))) % p
+            kernel = nullspace_mod_p(mat, p)
+            got = first_kernel_vector(mat, p)
+            if len(kernel) == 0:
+                assert got is None
+            else:
+                assert np.array_equal(got, kernel[0])
+            outcomes.add(got is None)
+    assert outcomes == {True, False}

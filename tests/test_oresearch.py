@@ -1,12 +1,15 @@
+import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lamplighter.certificates import RelatorCoefficients, certify
 from lamplighter.errors import LimitExceededError, UnsupportedRingError
-from lamplighter.groupring import GroupRing
+from lamplighter.groupring import GroupRing, left_mul_matrix
+from lamplighter.linalg import nullspace_mod_p
 from lamplighter.oresearch import (Window, annihilator_search, build_system,
                                    check_solution, nullspace, run_search)
 from lamplighter.ring import INTEGERS, ScalarRing
@@ -30,10 +33,9 @@ def one_minus_x(algebra):
 def test_window_enumeration():
     win = Window(0, 0)
     assert win.elements(G2) == [G2.identity, G2.generator_a(0)]
-    assert win.count(2) == 2
-    assert Window(1, 1).count(2) == 8 * 3
+    assert len(Window(1, 1).elements(G2)) == 8 * 3
     elems = Window(1, 1).elements(G3)
-    assert len(elems) == 27 * 3 == Window(1, 1).count(3)
+    assert len(elems) == 27 * 3
     assert elems == sorted(elems, key=WreathElement.sort_key)
     assert len(set(elems)) == len(elems)
     with pytest.raises(ValueError):
@@ -136,7 +138,6 @@ def test_annihilator_search_covers_certificate_witnesses():
     coords = np.array([cert.gamma.terms.get(g, 0) for g in domain])
     support = sorted({h * g for g in domain for h in cert.u.terms},
                      key=WreathElement.sort_key)
-    from lamplighter.groupring import left_mul_matrix
     mat = left_mul_matrix(cert.u, domain, support)
     assert not ((mat @ coords) % 2).any()
 
@@ -213,3 +214,63 @@ def test_left_mul_matrix_consistency_with_solver():
         reconstructed = F2G2.element(
             [(g, int(column[i])) for i, g in enumerate(system.extended)])
         assert reconstructed == image
+
+
+# sha256 of json.dumps(run_search(...).to_json(), sort_keys=True), with the
+# annihilators, recorded when left_mul_matrix still multiplied WreathElement
+# objects cell by cell and every search took the whole kernel basis.
+RUN_SEARCH_DIGESTS = {
+    (2, 2, 2, 1): "5604463c86a6f69bd3652d1c091934b122f1252ae3177854c383285137a03faf",
+    (2, 2, 1, 4): "ecc7c87062d435f663e0d2335ca19d49d43b6d92ee8fd97e1ca232ed488e676c",
+    (3, 2, 1, 1): "3bcd7796f736dcef15b07ce14c69e3f488e9f84db6ab27cac2be5e03e60463a6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_SEARCH_DIGESTS))
+def test_run_search_reports_are_pinned(case):
+    p, d, lamps, shift = case
+    report = run_search(GroupRing(ScalarRing(p), WreathGroup(d)), Window(lamps, shift))
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_SEARCH_DIGESTS[case]
+
+
+@pytest.mark.parametrize("algebra, window", [(F2G2, Window(0, 30)), (F3G3, Window(0, 20))])
+def test_left_mul_matrix_on_long_shift_windows(algebra, window):
+    # Products reach lamp positions -30..30 (or -20..20 for d = 3), more
+    # base-d digits than one int64 holds; the matrix must stay exact.
+    rng = random.Random(61)
+    group, p = algebra.group, algebra.ring.modulus
+    bound = window.shift_bound
+    domain = window.elements(group)
+    shifts = [-bound, bound] + rng.sample(range(1 - bound, bound), 2)
+    alpha = algebra.element([(group.element({0: rng.randrange(1, group.d)}, n), 1 + n % (p - 1))
+                             for n in shifts])
+    codomain = sorted({h * g for g in domain for h in alpha.terms}, key=WreathElement.sort_key)
+    assert max(abs(pos) for g in codomain for pos, _ in g.lamps) == bound
+    mat = left_mul_matrix(alpha, domain, codomain)
+    for _ in range(20):
+        coeffs = [rng.randrange(p) for _ in domain]
+        image = alpha * algebra.element(list(zip(domain, coeffs)))
+        column = (mat.astype(np.int64) @ np.array(coeffs)) % p
+        assert algebra.element([(g, int(c)) for g, c in zip(codomain, column)]) == image
+    # Without a codomain the rows come in code order: the same rows permuted.
+    coded = left_mul_matrix(alpha, domain)
+    assert sorted(map(tuple, coded.tolist())) == sorted(map(tuple, mat.tolist()))
+    assert np.array_equal(nullspace_mod_p(coded, p), nullspace_mod_p(mat, p))
+
+
+def test_dense_matrices_are_bounded_before_allocation():
+    # Window (4,4) needs a 7168 x 9216 system; the search window (5,4) of
+    # an annihilator has 18,432 elements.  Both are refused before any
+    # matrix exists: the traced peak stays far below one such matrix.
+    sigma = F2G2.one + F2G2.monomial(G2.generator_a(0))
+    for search in (lambda: run_search(F2G2, Window(4, 4)),
+                   lambda: annihilator_search(sigma, Window(5, 4))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceededError, match="cells"):
+                search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
