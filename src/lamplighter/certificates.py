@@ -108,14 +108,15 @@ def right_annihilator(depth: int, algebra: GroupRing, cap: int = DEFAULT_CAP) ->
     The subgroup sum has d^(2*depth) terms; the product has exactly twice
     that many before cancellation, and none cancel: multiplying a shift-0
     configuration by a changes lamp 0, so the two orbits are disjoint.
+    So gamma is written down term by term, c with coefficient 1 and a * c
+    with coefficient -1, without a convolution.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     group = algebra.group
     members = lamp_subgroup(group, depth, cap)
-    subgroup_sum = algebra.element([(c, 1) for c in members])
-    one_minus_a = algebra.one - algebra.monomial(group.generator_a(0))
-    return one_minus_a * subgroup_sum
+    a = group.generator_a(0)
+    return algebra.element([(c, 1) for c in members] + [(a * c, -1) for c in members])
 
 
 class Certificate:

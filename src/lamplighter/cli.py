@@ -20,6 +20,7 @@ inputs (including --seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -252,7 +253,9 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAILED
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: do not modify it."""
     parser = _Parser(prog="lamplighter",
                      description="Exact group-ring computation in Z/dZ wr Z: "
                                  "products, Fox derivatives, zerodivisor "

@@ -209,6 +209,8 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check(other)
+        if _runs_coded(self, other):
+            return GroupRingElement(self.algebra, _coded_product(self, other))
         # Convolution: sum of c_g * c_h over (g h).  Coefficients accumulate
         # as raw ints and are canonicalized once at the end.
         acc: dict[WreathElement, int] = {}
@@ -360,12 +362,18 @@ class LaurentElement:
         return f"<LaurentElement {self} over {self.ring!r}>"
 
 
+def _digit_dtype(d: int) -> np.dtype:
+    """One byte while the sum of two digits mod d fits, else int64."""
+    return np.dtype(np.uint8 if d <= 128 else np.int64)
+
+
 class CodedElements:
     """Group elements as integer arrays, for index arithmetic without
     building :class:`~lamplighter.wreath.WreathElement` objects.
 
     Element i is the lamp configuration ``digits[i]`` (column k holds the
-    base-d digit of position ``lo + k``) times x^``shifts[i]``.
+    base-d digit of position ``lo + k``) times x^``shifts[i]``.  Digits
+    are one byte wide while d <= 128, so the sum of two fits.
     """
 
     __slots__ = ("group", "lo", "shifts", "digits")
@@ -379,18 +387,16 @@ class CodedElements:
     @classmethod
     def encode(cls, group: WreathGroup, elements: Sequence[WreathElement]) -> "CodedElements":
         """The elements in order, over the range of positions their lamps use."""
-        rows, positions, values = [], [], []
-        for i, g in enumerate(elements):
+        for g in elements:
             if g.group != group:
                 raise RingMismatchError(f"{g!r} does not live in {group!r}")
-            for pos, val in g.lamps:
-                rows.append(i)
-                positions.append(pos)
-                values.append(val)
-        lo = min(positions, default=0)
-        width = max(positions, default=lo - 1) - lo + 1
-        digits = np.zeros((len(elements), width), dtype=np.int64)
-        digits[rows, np.array(positions, dtype=np.int64) - lo] = values
+        lamps = np.array([lamp for g in elements for lamp in g.lamps],
+                         dtype=np.int64).reshape(-1, 2)
+        lo = int(lamps[:, 0].min()) if len(lamps) else 0
+        width = int(lamps[:, 0].max()) - lo + 1 if len(lamps) else 0
+        digits = np.zeros((len(elements), width), dtype=_digit_dtype(group.d))
+        rows = np.repeat(np.arange(len(elements)), [len(g.lamps) for g in elements])
+        digits[rows, lamps[:, 0] - lo] = lamps[:, 1]
         shifts = np.array([g.shift for g in elements], dtype=np.int64)
         return cls(group, lo, shifts, digits)
 
@@ -401,33 +407,39 @@ class CodedElements:
         return CodedElements(self.group, self.lo, self.shifts[index], self.digits[index])
 
     def decode(self) -> list[WreathElement]:
-        lo, group = self.lo, self.group
-        return [WreathElement(group, tuple((lo + k, v) for k, v in enumerate(row) if v), n)
-                for row, n in zip(self.digits.tolist(), self.shifts.tolist())]
+        """The elements, reading only the lit lamps (row-major nonzeros)."""
+        rows, cols = np.nonzero(self.digits)
+        lamps = list(zip((cols + self.lo).tolist(), self.digits[rows, cols].tolist()))
+        ends = np.cumsum(np.bincount(rows, minlength=len(self))).tolist()
+        return [WreathElement(self.group, tuple(lamps[start:end]), n)
+                for start, end, n in zip([0] + ends, ends, self.shifts.tolist())]
 
     def left_translates(self, hs: Sequence[WreathElement]) -> "CodedElements":
         """Every h * g, h-major: row k * len(self) + j is hs[k] * self[j].
 
         h * g adds the digits of g, moved up by the shift of h, to the
-        lamps of h mod d, and adds the shifts.
+        lamps of h mod d, and adds the shifts.  The hs are encoded once
+        and translated in blocks of equal shift.
         """
-        n, width = self.digits.shape
-        ends = [p for h in hs for p in (self.lo + h.shift, self.lo + h.shift + width - 1)]
-        ends += [pos for h in hs for pos, _ in h.lamps]
-        lo = min(ends, default=0)
-        digits = np.zeros((len(hs) * n, max(ends, default=lo - 1) - lo + 1), dtype=np.int64)
-        shifts = np.empty(len(hs) * n, dtype=np.int64)
-        for k, h in enumerate(hs):
-            if h.group != self.group:
-                raise RingMismatchError(f"{h!r} does not live in {self.group!r}")
-            block = digits[k * n:(k + 1) * n]
-            start = self.lo + h.shift - lo
-            block[:, start:start + width] = self.digits
-            for pos, val in h.lamps:
-                block[:, pos - lo] += val
-            shifts[k * n:(k + 1) * n] = self.shifts + h.shift
+        left = CodedElements.encode(self.group, hs)
+        (m, lw), (n, width) = left.digits.shape, self.digits.shape
+        spans = [(left.lo, left.lo + lw)] if lw else []
+        if m and width:
+            spans.append((self.lo + int(left.shifts.min()),
+                          self.lo + int(left.shifts.max()) + width))
+        lo = min((a for a, _ in spans), default=0)
+        hi = max((b for _, b in spans), default=lo)
+        digits = np.zeros((m, n, hi - lo), dtype=self.digits.dtype)
+        if lw:
+            digits[:, :, left.lo - lo:left.lo - lo + lw] = left.digits[:, None, :]
+        # dict.fromkeys, not np.unique: a plain np.unique imports numpy.ma,
+        # about 1 MB of RSS in every process that multiplies.
+        for shift in dict.fromkeys(left.shifts.tolist()):
+            start = self.lo + shift - lo
+            digits[left.shifts == shift, :, start:start + width] += self.digits
         digits %= self.group.d
-        return CodedElements(self.group, lo, shifts, digits)
+        shifts = (left.shifts[:, None] + self.shifts).reshape(m * n)
+        return CodedElements(self.group, lo, shifts, digits.reshape(m * n, hi - lo))
 
 
 def element_codes(*tables: CodedElements) -> list[np.ndarray]:
@@ -436,7 +448,9 @@ def element_codes(*tables: CodedElements) -> list[np.ndarray]:
     All tables are read in one frame: the shift offset and each lamp
     digit are mixed-radix digits, packed into as many int64 words as
     exactness needs.  One word gives an int64 code; several give a
-    fixed-width byte string, so no window overflows the code.
+    fixed-width byte string, so no window overflows the code.  Codes are
+    summed one digit column at a time, so no rows x digits matrix of
+    int64 is built.
     """
     used = [t for t in tables if len(t)]
     if not used:
@@ -446,26 +460,98 @@ def element_codes(*tables: CodedElements) -> list[np.ndarray]:
     low = min(int(t.shifts.min()) for t in used)
     high = max(int(t.shifts.max()) for t in used)
     radices = [high - low + 1] + [used[0].group.d] * (hi - lo)
-    words, start = [], 0          # column ranges and place values of each word
-    while start < len(radices):
-        stop, span = start, 1
-        while stop < len(radices) and (stop == start or span * radices[stop] <= 2 ** 63):
-            span *= radices[stop]
+    place, words = [], 0              # (word, place value) of each digit column
+    while len(place) < len(radices):
+        start = stop = len(place)
+        span = radices[start]
+        while stop + 1 < len(radices) and span * radices[stop + 1] <= 2 ** 63:
             stop += 1
-        places = [1] * (stop - start)
-        for i in range(stop - start - 2, -1, -1):
-            places[i] = places[i + 1] * radices[start + i + 1]
-        words.append((start, stop, np.array(places, dtype=np.int64)))
-        start = stop
+            span *= radices[stop]
+        for radix in radices[start:stop + 1]:
+            span //= radix
+            place.append((words, np.int64(span)))
+        words += 1
     codes = []
     for t in tables:
-        columns = np.zeros((len(t), len(radices)), dtype=np.int64)
-        columns[:, 0] = t.shifts - low
-        columns[:, 1 + t.lo - lo:1 + t.lo - lo + t.digits.shape[1]] = t.digits
-        packed = np.stack([columns[:, a:b] @ places for a, b, places in words], axis=1)
-        codes.append(packed[:, 0] if len(words) == 1 else
-                     np.ascontiguousarray(packed).view(np.dtype((np.void, 8 * len(words))))[:, 0])
+        packed = np.zeros((words, len(t)), dtype=np.int64)
+        packed[0] = (t.shifts - low) * place[0][1]
+        for k in range(t.digits.shape[1]):
+            word, value = place[1 + t.lo - lo + k]
+            packed[word] += np.multiply(t.digits[:, k], value, dtype=np.int64)
+        codes.append(packed[0] if words == 1 else
+                     np.ascontiguousarray(packed.T).view(np.dtype((np.void, 8 * words)))[:, 0])
     return codes
+
+
+# Products of at least this many term pairs run through the coded kernel
+# (:func:`_coded_product`), the rest through the dict loop of
+# :meth:`GroupRingElement.__mul__`.  On products that do not cancel the
+# two break even between 128 and 256 pairs, and the kernel is 1.1-1.3x
+# faster at 256 and 1.2-2x from 512 on; twice the crossover leaves room
+# for timing noise.  Products that cancel gain far more (see README).
+CODED_PRODUCT_PAIRS = 512
+# The kernel's work and memory grow with the number of lamp positions the
+# products span, the dict loop's only with the lamps that are lit.  On
+# sparse lamps that do not cancel the two break even at 128-256 positions;
+# half of that leaves room for timing noise.
+CODED_PRODUCT_WIDTH = 64
+# Bound on the kernel's transient memory, estimated as itemsize + 3 bytes
+# per digit of every product (its digit and its share of the packed codes,
+# which np.unique copies) plus 64 bytes of indices and sums per pair.
+CODED_PRODUCT_BYTES = 2 ** 26
+
+
+def _runs_coded(left: GroupRingElement, right: GroupRingElement) -> bool:
+    """Whether left * right runs through the coded kernel: enough pairs,
+    few enough lamp positions and bytes, and exact int64 arithmetic.
+
+    Each product g h arises once per g, so no coefficient sum has more
+    than min(|left|, |right|) terms, and it is reduced mod m in int64.
+    Positions and shifts stay below 2^60, so their sums fit as well.
+    """
+    pairs = len(left) * len(right)
+    if (pairs < CODED_PRODUCT_PAIRS or left.ring.modulus >= 2 ** 63
+            or max(map(abs, left.terms.values())) * max(map(abs, right.terms.values()))
+            * min(len(left), len(right)) >= 2 ** 63):
+        return False
+    shifts = [g.shift for g in left.terms]
+    low, high = min(shifts), max(shifts)
+    bounds = [low, high] + [h.shift for h in right.terms]
+    spans = []                        # lamp positions of the g, then of the moved h
+    for lamps, move in (([g.lamps for g in left.terms if g.lamps], (0, 0)),
+                        ([h.lamps for h in right.terms if h.lamps], (low, high))):
+        if lamps:
+            first, last = min(b[0][0] for b in lamps), max(b[-1][0] for b in lamps)
+            bounds += [first, last]
+            spans.append((first + move[0], last + move[1]))
+    if max(map(abs, bounds)) >= 2 ** 60:
+        return False
+    width = max(b for _, b in spans) - min(a for a, _ in spans) + 1 if spans else 0
+    itemsize = _digit_dtype(left.group.d).itemsize
+    return (width <= CODED_PRODUCT_WIDTH
+            and pairs * (width * (itemsize + 3) + 64) <= CODED_PRODUCT_BYTES)
+
+
+def _coded_product(left: GroupRingElement, right: GroupRingElement) -> dict[WreathElement, int]:
+    """The terms of left * right, summed over integer codes in int64.
+
+    The caller checks :func:`_runs_coded` first.  Row k * |right| + j
+    of the translates is g_k * h_j, the order in which the dict loop
+    meets the products, so the survivors keep the dict loop's order.
+    """
+    products = CodedElements.encode(left.group, list(right.terms)).left_translates(
+        list(left.terms))
+    table, first, inverse = np.unique(element_codes(products)[0],
+                                      return_index=True, return_inverse=True)
+    acc = np.zeros(len(table), dtype=np.int64)
+    np.add.at(acc, inverse, np.multiply.outer(
+        np.array(list(left.terms.values()), dtype=np.int64),
+        np.array(list(right.terms.values()), dtype=np.int64)).reshape(-1))
+    if left.ring.modulus:
+        acc %= left.ring.modulus
+    kept = np.flatnonzero(acc)
+    kept = kept[np.argsort(first[kept])]
+    return dict(zip(products.take(first[kept]).decode(), acc[kept].tolist()))
 
 
 # Bound on the cells (rows x columns) of a dense coefficient matrix,

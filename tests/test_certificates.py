@@ -71,6 +71,17 @@ def test_annihilator_term_count_and_augmentation():
         assert not gamma.is_zero()
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("field", [False, True])
+def test_annihilator_equals_the_convolution(d, field):
+    # gamma is written down term by term; it must equal (1 - a) * sum_C c.
+    algebra = GroupRing(ScalarRing(d if field else 0), WreathGroup(d))
+    one_minus_a = algebra.one - algebra.monomial(algebra.group.generator_a(0))
+    for depth in range(4):
+        subgroup_sum = algebra.element([(c, 1) for c in lamp_subgroup(algebra.group, depth)])
+        assert right_annihilator(depth, algebra) == convolve(one_minus_a, subgroup_sum)
+
+
 def test_annihilator_cap():
     with pytest.raises(LimitExceededError):
         right_annihilator(4, ZG3, cap=1000)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lamplighter import oresearch
-from lamplighter.cli import main
+from lamplighter.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +181,13 @@ GOLDEN_ARGV = {
     "closure-cap-exceeded": ["annihilate", "--d", "2", "--cap", "3", "1 - a[0]", "1 - a[1]"],
     "negative-depth": ["certify", "--N", "-1", "--z", "0"],
     "invalid-config": ["ore-search", "--d", "2", "--mod", "4"],
+    # Products of at least groupring.CODED_PRODUCT_PAIRS pairs: u * gamma
+    # (19 x 162, cancels) and a 24 x 24 product that does not cancel.
+    "certify-large": ["certify", "--d", "3", "--mod", "0",
+                      "--z", "1 - a[1]*x; x^-1 + 2*a[-1]; a[2] - 3*x^2"],
+    "mul-large": ["mul", "--d", "3", "--mod", "5",
+                  " + ".join(f"{i % 4 + 1}*a[{i % 5}]*x^{i}" for i in range(24)),
+                  " - ".join(f"a[{-i}]^2*x^-{i % 7}" for i in range(24))],
 }
 
 # (case, format, exit code, sha256 of stdout).  Stdout and exit codes are
@@ -219,6 +226,10 @@ GOLDEN = [
     ("negative-depth", "json", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("invalid-config", "text", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("invalid-config", "json", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("certify-large", "text", 0, "aa2f8acd35baa92d04f4784a24db432c98485f82aa5c5300d0587334ae1bf8e1"),
+    ("certify-large", "json", 0, "acbc3ee5871e7bc54f8318de7d1000632c6f67fd0910553e4b5762673f75bef8"),
+    ("mul-large", "text", 0, "cdde18c317d559c41599b5e5f19146c907fe05867a484de4946e25e4657c942f"),
+    ("mul-large", "json", 0, "3856794b202b72778e743cf23007639c2d3d8ab6c33b1a3a23a650a3ff861dd6"),
 ]
 
 
@@ -249,3 +260,10 @@ def test_oversized_matrix_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert err == "limit exceeded: a 7168 x 9216 matrix exceeds the bound of 50000000 cells\n"
+
+
+def test_parser_is_built_once_and_shared(capsys):
+    assert build_parser() is build_parser()
+    # Options of one call do not leak into the next through the shared parser.
+    assert run_cli(capsys, "mul", "--d", "3", "a", "a") == (0, "a[0]^2\n", "")
+    assert run_cli(capsys, "mul", "a", "a") == (0, "1\n", "")
