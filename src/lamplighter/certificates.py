@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (LimitExceededError, NotInAugmentationIdealError,
-                     RingMismatchError, SupportError, UnsupportedRingError)
+from .errors import (NotInAugmentationIdealError, RingMismatchError, SupportError,
+                     UnsupportedRingError)
 from .groupring import GroupRing, GroupRingElement
 from .ring import ScalarRing
-from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
+from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations, lamp_span
 
 
 class RelatorCoefficients:
@@ -93,12 +93,8 @@ def zerodivisor_from_coefficients(z: RelatorCoefficients) -> GroupRingElement:
 
 
 def lamp_subgroup(group: WreathGroup, depth: int, cap: int = DEFAULT_CAP) -> list[WreathElement]:
-    """All lamp configurations supported on positions 1 <= |n| <= depth.
-
-    The lamps at those positions are independent coordinates, so this is
-    exactly the subgroup they span: d^(2*depth) elements, enumerated in a
-    fixed order.
-    """
+    """The d^(2*depth) lamp configurations on positions 1 <= |n| <= depth:
+    the subgroup their unit lamps span, in a fixed order."""
     return lamp_configurations(group, [n for n in range(-depth, depth + 1) if n != 0], (0,), cap)
 
 
@@ -184,15 +180,6 @@ def certify(z: RelatorCoefficients, cap: int = DEFAULT_CAP) -> Certificate:
     return Certificate(z, u, gamma, u * gamma)
 
 
-def _base_slices(alpha: GroupRingElement) -> dict[int, list[tuple[WreathElement, int]]]:
-    """Group the terms of alpha by shift, as base-group configurations."""
-    slices: dict[int, list[tuple[WreathElement, int]]] = {}
-    for g, c in alpha.terms.items():
-        base = WreathElement(g.group, g.lamps, 0)
-        slices.setdefault(g.shift, []).append((base, c))
-    return slices
-
-
 def finite_subgroup_annihilator(alphas: Iterable[GroupRingElement],
                                 algebra: GroupRing | None = None,
                                 cap: int = DEFAULT_CAP) -> GroupRingElement:
@@ -200,7 +187,7 @@ def finite_subgroup_annihilator(alphas: Iterable[GroupRingElement],
 
     Each alpha_i must lie in the base augmentation ideal: every shift
     slice must have coefficient sum zero.  beta is the sum over the
-    subgroup of the base group generated by all configurations in those
+    subgroup of the base group spanned by all configurations in those
     slices; left-multiplying an augmentation-zero slice by that sum kills
     it because the sum is invariant under the slice's support.
 
@@ -208,42 +195,20 @@ def finite_subgroup_annihilator(alphas: Iterable[GroupRingElement],
     then be given explicitly).
     """
     alphas = list(alphas)
-    if alphas:
-        if algebra is None:
-            algebra = alphas[0].algebra
-        for alpha in alphas:
-            if alpha.algebra != algebra:
-                raise RingMismatchError("all inputs must share one group ring")
-    elif algebra is None:
-        raise ValueError("with no inputs the target group ring must be given")
-    group = algebra.group
-    generators: set[tuple] = set()
+    if algebra is None:
+        if not alphas:
+            raise ValueError("with no inputs the target group ring must be given")
+        algebra = alphas[0].algebra
+    if any(alpha.algebra != algebra for alpha in alphas):
+        raise RingMismatchError("all inputs must share one group ring")
     for i, alpha in enumerate(alphas):
-        for shift, pairs in _base_slices(alpha).items():
-            total = sum(c for _, c in pairs)
-            if algebra.ring.canon(total) != 0:
-                raise NotInAugmentationIdealError(
-                    f"input {i}: shift-{shift} slice has coefficient sum {total} != 0")
-            generators.update(b.lamps for b, _ in pairs)
-    # Breadth-first closure under adding each generator; the base group is
-    # abelian of exponent d, so this terminates at the spanned subgroup.
-    identity = group.identity
-    members = {identity}
-    frontier = [identity]
-    gen_elements = [WreathElement(group, lamps, 0) for lamps in sorted(generators)]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gen_elements:
-                candidate = m * g
-                if candidate not in members:
-                    if len(members) >= cap:
-                        raise LimitExceededError(
-                            f"subgroup closure exceeds the cap {cap}")
-                    members.add(candidate)
-                    new.append(candidate)
-        frontier = new
-    return algebra.element([(b, 1) for b in members])
+        sums = alpha.project_to_laurent().coeffs      # the nonzero slice sums
+        if sums:
+            shift, total = next(iter(sums.items()))
+            raise NotInAugmentationIdealError(
+                f"input {i}: shift-{shift} slice has coefficient sum {total} != 0")
+    generators = sorted({g.lamps for alpha in alphas for g in alpha.terms})
+    return algebra.element([(b, 1) for b in lamp_span(algebra.group, generators, cap)])
 
 
 class LampVector:

@@ -29,6 +29,7 @@ from . import certificates, foxwords, oresearch
 from .errors import (ConfigError, LamplighterError, LimitExceededError,
                      NotInAugmentationIdealError, ParseError, SupportError)
 from .groupring import GroupRing
+from .linalg import MAX_PRIME
 from .parsing import parse_ring_element
 from .ring import ScalarRing, is_prime
 from .wreath import DEFAULT_CAP, WreathGroup
@@ -71,7 +72,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _validate(args, need_prime: bool = False, need_match: bool = False) -> GroupRing:
+def _validate(args, need_prime: bool = False, need_match: bool = False,
+              need_elimination: bool = False) -> GroupRing:
     """Check the common parameters (ConfigError, exit code 4, on the first
     bad one) and return the group ring that --mod and --d name."""
     if args.depth is not None and args.depth < 0:
@@ -80,6 +82,8 @@ def _validate(args, need_prime: bool = False, need_match: bool = False) -> Group
         raise ConfigError(f"--d must be >= 2, got {args.d}")
     if args.mod != 0 and args.mod < 2:
         raise ConfigError(f"--mod must be 0 (integers) or >= 2, got {args.mod}")
+    if need_elimination and args.mod > MAX_PRIME:
+        raise ConfigError(f"--mod must be at most {MAX_PRIME} for elimination, got {args.mod}")
     if need_prime and not is_prime(args.mod):
         raise ConfigError(f"--mod must be a prime for this command, got {args.mod}")
     if need_match and args.mod != args.d:
@@ -150,7 +154,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_ore_search(args) -> int:
-    algebra = _validate(args, need_prime=True)
+    algebra = _validate(args, need_prime=True, need_elimination=True)
     window = oresearch.Window(args.window_lamps, args.window_shift)
     report = oresearch.run_search(algebra, window, cap=args.cap)
     if args.format == "json":

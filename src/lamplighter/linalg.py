@@ -19,13 +19,15 @@ from .errors import UnsupportedRingError
 from .ring import is_prime
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise UnsupportedRingError(f"linear algebra needs a prime modulus, got {p}")
+MAX_PRIME = 3_037_000_500      # the largest p with (p - 1)^2 + p <= 2^63 - 1
 
 
 def working_dtype(p: int):
-    """int16 when it holds entry - entry * entry for entries in [0, p), else int64."""
+    """int16 when it holds entry - entry * entry for entries in [0, p), else
+    int64; refused past ``MAX_PRIME``, where int64 would overflow."""
+    if p > MAX_PRIME:
+        raise UnsupportedRingError(f"elimination over GF({p}) would overflow int64; "
+                                   f"the modulus must be at most {MAX_PRIME}")
     return np.int16 if (p - 1) * (p - 1) + p <= np.iinfo(np.int16).max else np.int64
 
 
@@ -38,7 +40,9 @@ def rref_mod_p(matrix: np.ndarray, p: int,
     pivot: the pivots are then exactly the columns before it, and R holds
     their rows, fully reduced up to and including that column.
     """
-    _check_prime(p)
+    if not is_prime(p):
+        raise UnsupportedRingError(f"linear algebra needs a prime modulus, got {p}")
+    dtype = working_dtype(p)
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("need a 2-d matrix")
@@ -46,7 +50,7 @@ def rref_mod_p(matrix: np.ndarray, p: int,
         return np.zeros((0, a.shape[1]), dtype=np.int64), []
     if p == 2:
         return _rref_gf2(a, stop_at_free)
-    r = np.asarray(a % p, dtype=working_dtype(p))
+    r = np.asarray(a % p, dtype=dtype)
     m, n = r.shape
     row = 0
     pivots: list[int] = []

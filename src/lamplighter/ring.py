@@ -8,23 +8,29 @@ Values of ``IntegersMod(m)`` are kept as canonical representatives in
 
 from __future__ import annotations
 
+import math
+
 from .errors import NotInvertibleError, RingMismatchError
+
+# Miller-Rabin with the prime bases up to 41 is exact below the bound (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; moduli here are small."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic primality test: Miller-Rabin, exact below
+    ``_WITNESS_BOUND``; above it trial division decides the n that pass."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x != 1 and all(pow(x, 2 ** k, n) != n - 1 for k in range(twos)):
             return False
-        f += 2
-    return True
+    return n < _WITNESS_BOUND or all(n % f for f in range(43, math.isqrt(n) + 1, 2))
 
 
 class ScalarRing:

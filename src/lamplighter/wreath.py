@@ -15,7 +15,6 @@ they serve directly as group-ring support keys.
 
 from __future__ import annotations
 
-from itertools import product as cartesian_product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LimitExceededError, RingMismatchError
@@ -178,17 +177,37 @@ class WreathElement:
 DEFAULT_CAP = 10 ** 6
 
 
+def lamp_span(group: WreathGroup, generators: Iterable[Lamps], cap: int) -> list[WreathElement]:
+    """The subgroup of the base group spanned by the lamp configurations
+    ``generators``, by coset extension: with m <= d the order of the next
+    generator g modulo the span S so far, the disjoint cosets S*g, ...,
+    S*g^(m-1) are appended in order.  m * |S| is checked against ``cap`` first."""
+    members, seen = [group.identity], {()}      # seen: the lamps of the members
+    for lamps in generators:
+        g = power = WreathElement(group, lamps, 0)
+        m = 1
+        while power.lamps not in seen:
+            power, m = power * g, m + 1
+        if m * len(members) > cap:
+            raise LimitExceededError(f"subgroup closure exceeds the cap {cap}")
+        coset = members
+        for _ in range(m - 1):
+            coset = [c * g for c in coset]
+            seen.update(c.lamps for c in coset)
+            members = members + coset
+    return members
+
+
 def lamp_configurations(group: WreathGroup, positions: Sequence[int],
                         shifts: Sequence[int], cap: int) -> list[WreathElement]:
-    """Every b * x^n with b supported on ``positions`` and n in ``shifts``.
-
-    The d^len(positions) * len(shifts) elements are counted against
-    ``cap`` before any is built.  Order: shifts as given, then lamp values
-    lexicographically over ``positions``.
+    """Every b * x^n with b supported on ``positions`` (distinct) and n in
+    ``shifts``; the d^len(positions) * len(shifts) of them are counted
+    against ``cap`` before any is built.  Order: shifts as given, then lamp
+    values lexicographically over ``positions``, as the span of the lamps
+    a[p] taken last to first yields them.
     """
     count = group.d ** len(positions) * len(shifts)
     if count > cap:
         raise LimitExceededError(f"enumeration of {count} elements exceeds the cap {cap}")
-    configs = [group.element(zip(positions, values)).lamps
-               for values in cartesian_product(range(group.d), repeat=len(positions))]
-    return [WreathElement(group, lamps, n) for n in shifts for lamps in configs]
+    span = lamp_span(group, [((p, 1),) for p in reversed(positions)], cap)
+    return [WreathElement(group, b.lamps, n) for n in shifts for b in span]

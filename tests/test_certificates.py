@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -217,6 +218,23 @@ def test_subgroup_annihilator_cap():
               for _ in range(3)]
     with pytest.raises(LimitExceededError):
         finite_subgroup_annihilator(alphas, cap=2)
+
+
+def test_over_cap_closure_refuses_before_building():
+    # a[0] + ... + a[11] - 12 spans 2^12 lamp configurations.  The closure
+    # refuses at the last generator, having built 2^11 of them (a peak of
+    # about 1.1 MB); the breadth-first closure it replaced built 4095 first
+    # and peaked at 2.08 MB under tracemalloc on this input.
+    alpha = ZG2.element([(G2.generator_a(i), 1) for i in range(12)] + [(G2.identity, -12)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceededError, match="subgroup closure exceeds the cap 4095"):
+            finite_subgroup_annihilator([alpha], cap=4095)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+    assert len(finite_subgroup_annihilator([alpha], cap=4096)) == 4096
 
 
 def test_reduction_of_single_difference():

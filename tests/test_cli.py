@@ -72,6 +72,22 @@ def test_ore_search_needs_prime_modulus(capsys):
     assert "prime" in err
 
 
+def test_ore_search_refuses_primes_past_int64_elimination(capsys):
+    # Refused before the window is enumerated: window (30, 1) would exceed the cap.
+    code, out, err = run_cli(capsys, "ore-search", "--d", "2", "--mod", "3037000507",
+                             "--window-lamps", "30")
+    assert (code, out) == (4, "")
+    assert err == ("invalid configuration: --mod must be at most 3037000500 for elimination, "
+                   "got 3037000507\n")
+    # Checked before primality, which is trial division past 3.3e24 (2^89 - 1 is prime).
+    code, _, err = run_cli(capsys, "ore-search", "--mod", str(2 ** 89 - 1))
+    assert (code, err) == (4, "invalid configuration: --mod must be at most 3037000500 for "
+                              f"elimination, got {2 ** 89 - 1}\n")
+    code, out, _ = run_cli(capsys, "ore-search", "--d", "2", "--mod", "3037000493")
+    assert code == 0
+    assert out.startswith("window lamps<=1 shift<=1: 14 basis solutions, verdict consistent\n")
+
+
 def test_annihilate_command(capsys):
     code, out, _ = run_cli(capsys, "annihilate", "--d", "2", "1 - a[0]")
     assert code == 0
@@ -83,6 +99,11 @@ def test_annihilate_rejects_non_ideal_input(capsys):
     code, _, err = run_cli(capsys, "annihilate", "--d", "2", "1 + a[0]")
     assert code == 1
     assert "verification failed" in err
+    # The slice sum is printed as a value of the coefficient ring: 1 + 1 + 2 = 4 is 1 in GF(3).
+    code, _, err = run_cli(capsys, "annihilate", "--d", "3", "--mod", "3",
+                           "1 - a[1]", "x + a[0]*x + 2*a[1]*x")
+    assert code == 1
+    assert err == "verification failed: input 1: shift-1 slice has coefficient sum 1 != 0\n"
 
 
 def test_reduce_b2_command(capsys):
@@ -185,6 +206,12 @@ GOLDEN_ARGV = {
     # (19 x 162, cancels) and a 24 x 24 product that does not cancel.
     "certify-large": ["certify", "--d", "3", "--mod", "0",
                       "--z", "1 - a[1]*x; x^-1 + 2*a[-1]; a[2] - 3*x^2"],
+    # Closures of annihilate: a generator of coset order 2 in Z/4 (a[1]^2
+    # after a[0]*a[1]), and a GF(3) closure of rank 5 (243 members).
+    "annihilate-coset-order-2": ["annihilate", "--d", "4", "--mod", "0",
+                                 "a[0]*a[1] - 1", "a[1]^2 - 1"],
+    "annihilate-gf3-rank-5": ["annihilate", "--d", "3", "--mod", "3", "a[0] + a[1]*a[2]^2 - 2",
+                              "a[3]*x - a[-1]*a[4]*x", "a[-2]^2 - 1"],
     "mul-large": ["mul", "--d", "3", "--mod", "5",
                   " + ".join(f"{i % 4 + 1}*a[{i % 5}]*x^{i}" for i in range(24)),
                   " - ".join(f"a[{-i}]^2*x^-{i % 7}" for i in range(24))],
@@ -230,6 +257,10 @@ GOLDEN = [
     ("certify-large", "json", 0, "acbc3ee5871e7bc54f8318de7d1000632c6f67fd0910553e4b5762673f75bef8"),
     ("mul-large", "text", 0, "cdde18c317d559c41599b5e5f19146c907fe05867a484de4946e25e4657c942f"),
     ("mul-large", "json", 0, "3856794b202b72778e743cf23007639c2d3d8ab6c33b1a3a23a650a3ff861dd6"),
+    ("annihilate-coset-order-2", "text", 0, "67a575f9adf26c0320a183645faa03bff912ae7b83d317f3bab1ebc949acfefa"),
+    ("annihilate-coset-order-2", "json", 0, "a0b50512d645e230312e6035fc1568a4d0f83abaefb923ac5f280b83fa5baa1c"),
+    ("annihilate-gf3-rank-5", "text", 0, "d60e56eac1cbdd127ba335a528e1384dce20fdb87255f62c910f279973170952"),
+    ("annihilate-gf3-rank-5", "json", 0, "29d8d1857c09117402507e796af50ac7054806d5a3af456d7501cbfc5ea27e80"),
 ]
 
 

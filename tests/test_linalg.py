@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from lamplighter.errors import UnsupportedRingError
-from lamplighter.linalg import (first_kernel_vector, matrix_rank_mod_p, nullspace_mod_p,
-                               rref_mod_p)
+from lamplighter.groupring import GroupRing, left_mul_matrix
+from lamplighter.linalg import (MAX_PRIME, first_kernel_vector, matrix_rank_mod_p,
+                               nullspace_mod_p, rref_mod_p, working_dtype)
+from lamplighter.ring import ScalarRing
+from lamplighter.wreath import WreathGroup
 
 
 def reference_rref(matrix, p):
@@ -99,6 +102,51 @@ def test_wide_and_tall_shapes():
     assert kernel.shape == (5, 6)
     tall = np.array([[1], [1], [0], [1]])
     assert nullspace_mod_p(tall, 3).shape == (0, 1)
+
+
+def reference_kernel(matrix, p):
+    """The canonical kernel basis from the plain-python RREF."""
+    rows, pivots = reference_rref(matrix, p)
+    basis = []
+    for f in (c for c in range(len(matrix[0])) if c not in pivots):
+        vector = [0] * len(matrix[0])
+        vector[f] = 1
+        for row, c in zip(rows, pivots):
+            vector[c] = -row[f] % p
+        basis.append(vector)
+    return basis
+
+
+def test_max_prime_is_the_int64_bound_of_elimination():
+    assert (MAX_PRIME - 1) ** 2 + MAX_PRIME <= np.iinfo(np.int64).max < MAX_PRIME ** 2 + 1
+    assert working_dtype(181) == np.int16 and working_dtype(191) == np.int64
+    assert working_dtype(MAX_PRIME) == np.int64
+
+
+def test_kernel_at_the_largest_int64_prime():
+    p = 3037000493          # the largest prime <= MAX_PRIME
+    rng = random.Random(3037)
+    for trial in range(20):
+        mat = [[rng.randrange(p) for _ in range(8)] for _ in range(5)]
+        if trial % 2:       # rank 4: row 4 is a combination of rows 0 and 1
+            mat[4] = [(rng.randrange(p) * a + rng.randrange(p) * b) % p
+                      for a, b in zip(mat[0], mat[1])]
+        kernel = nullspace_mod_p(np.array(mat, dtype=np.int64), p)
+        assert kernel.tolist() == reference_kernel(mat, p)
+        assert not (np.array(mat, dtype=object) @ kernel.T.astype(object) % p).any()
+        assert first_kernel_vector(np.array(mat), p).tolist() == kernel[0].tolist()
+
+
+@pytest.mark.parametrize("p", [3037000507, 4294967311])
+def test_primes_past_the_int64_bound_are_refused(p):
+    mat = np.ones((5, 8), dtype=np.int64)
+    for call in (working_dtype, lambda p: rref_mod_p(mat, p), lambda p: nullspace_mod_p(mat, p),
+                 lambda p: first_kernel_vector(mat, p), lambda p: matrix_rank_mod_p(mat, p)):
+        with pytest.raises(UnsupportedRingError, match="overflow int64"):
+            call(p)
+    algebra = GroupRing(ScalarRing(p), WreathGroup(2))
+    with pytest.raises(UnsupportedRingError, match="overflow int64"):
+        left_mul_matrix(algebra.one, [algebra.group.identity])
 
 
 def test_non_prime_modulus_rejected():

@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lamplighter.errors import NotInvertibleError, RingMismatchError
-from lamplighter.ring import INTEGERS, ScalarRing
+from lamplighter.ring import INTEGERS, ScalarRing, is_prime
 
 GF2 = ScalarRing(2)
 GF3 = ScalarRing(3)
@@ -132,3 +133,33 @@ def test_scalars_are_immutable():
     s = GF2.one
     with pytest.raises(AttributeError):
         s.value = 0
+
+
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-5, 10 ** 5) if is_prime(n)] == \
+        [n for n in range(-5, 10 ** 5) if trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    # the least strong pseudoprimes to the first k prime bases, k = 1..12
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461,
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,   # Carmichael numbers
+    (2 ** 89 - 1) * (2 ** 61 - 1), (2 ** 61 - 1) ** 2])     # past the exact Miller-Rabin bound
+def test_is_prime_rejects_pseudoprimes(n):
+    start = time.perf_counter()
+    assert not is_prime(n)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n", [2 ** 31 - 1, 3037000493, 2 ** 61 - 1, 10 ** 18 + 9,
+                               3317044064679887385961813])
+def test_is_prime_accepts_large_primes_quickly(n):
+    start = time.perf_counter()
+    assert is_prime(n)
+    assert ScalarRing(n).is_field
+    assert time.perf_counter() - start < 0.1

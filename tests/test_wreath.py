@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from conftest import act_mul, random_group_element
-from lamplighter.errors import RingMismatchError
-from lamplighter.wreath import WreathGroup
+from lamplighter.errors import LimitExceededError, RingMismatchError
+from lamplighter.wreath import WreathElement, WreathGroup, lamp_configurations, lamp_span
 
 G2 = WreathGroup(2)
 G3 = WreathGroup(3)
@@ -116,3 +117,72 @@ def test_elements_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         g.shift = 5
     assert len({g, G2.generator_a(0), G2.identity}) == 2
+
+
+def bfs_span(group, generators):
+    """Oracle: the breadth-first closure of the base elements with these lamps."""
+    gens = [WreathElement(group, lamps, 0) for lamps in generators]
+    members, frontier = {group.identity}, [group.identity]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                if m * g not in members:
+                    members.add(m * g)
+                    new.append(m * g)
+        frontier = new
+    return members
+
+
+def random_generators(rng, group, count):
+    return [group.element({p: rng.randrange(group.d) for p in rng.sample(range(-2, 3), 2)}).lamps
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_lamp_span_matches_the_breadth_first_closure(d):
+    group = WreathGroup(d)
+    rng = random.Random(500 + d)
+    for _ in range(40):
+        generators = random_generators(rng, group, rng.randint(0, 4))
+        span = lamp_span(group, generators, 10 ** 6)
+        assert len(span) == len(set(span))          # the cosets are disjoint
+        assert set(span) == bfs_span(group, generators)
+        assert span[0] == group.identity and all(b.shift == 0 for b in span)
+        assert set(lamp_span(group, generators[::-1], 10 ** 6)) == set(span)
+
+
+def test_lamp_span_generator_of_coset_order_two():
+    # In Z/4: a[0]*a[1] has order 4, and a[1]^2 is not among its powers,
+    # but its square is the identity, so it adds one coset.
+    group = WreathGroup(4)
+    g, h = ((0, 1), (1, 1)), ((1, 2),)
+    span = lamp_span(group, [g, h], 8)
+    cyclic = [WreathElement(group, g, 0) ** k for k in range(4)]
+    assert span == cyclic + [c * WreathElement(group, h, 0) for c in cyclic]
+    assert set(span) == bfs_span(group, [g, h])
+    assert set(lamp_span(group, [h, g], 8)) == set(span)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_lamp_span_cap_is_exact(d):
+    group = WreathGroup(d)
+    rng = random.Random(600 + d)
+    for _ in range(20):
+        generators = random_generators(rng, group, rng.randint(1, 3))
+        size = len(bfs_span(group, generators))
+        assert len(lamp_span(group, generators, size)) == size
+        if size > 1:
+            with pytest.raises(LimitExceededError, match=f"closure exceeds the cap {size - 1}$"):
+                lamp_span(group, generators, size - 1)
+
+
+def test_lamp_configurations_order():
+    # Shifts as given, then lamp values lexicographically over the positions.
+    group = WreathGroup(3)
+    positions, shifts = [2, -1, 0], [1, -2]
+    expected = [group.element(zip(positions, values), n)
+                for n in shifts for values in product(range(3), repeat=3)]
+    assert lamp_configurations(group, positions, shifts, 54) == expected
+    with pytest.raises(LimitExceededError, match="enumeration of 54 elements exceeds the cap 53"):
+        lamp_configurations(group, positions, shifts, 53)
