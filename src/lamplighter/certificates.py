@@ -93,8 +93,12 @@ def zerodivisor_from_coefficients(z: RelatorCoefficients) -> GroupRingElement:
 
 
 def lamp_subgroup(group: WreathGroup, depth: int, cap: int = DEFAULT_CAP) -> list[WreathElement]:
-    """The d^(2*depth) lamp configurations on positions 1 <= |n| <= depth:
-    the subgroup their unit lamps span, in a fixed order."""
+    """All lamp configurations supported on positions 1 <= |n| <= depth.
+
+    The lamps at those positions are independent coordinates, so this is
+    exactly the subgroup they span: d^(2*depth) elements, enumerated in a
+    fixed order.
+    """
     return lamp_configurations(group, [n for n in range(-depth, depth + 1) if n != 0], (0,), cap)
 
 

@@ -20,7 +20,8 @@ _WITNESS_BOUND = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test: Miller-Rabin, exact below
-    ``_WITNESS_BOUND``; above it trial division decides the n that pass."""
+    ``_WITNESS_BOUND``.  Above it a probable prime is proved prime by
+    :func:`_pocklington` or, failing that, by trial division."""
     if n < 2 or any(n % a == 0 for a in _WITNESSES):
         return n in _WITNESSES
     odd, twos = n - 1, 0
@@ -30,7 +31,25 @@ def is_prime(n: int) -> bool:
         x = pow(a, odd, n)
         if x != 1 and all(pow(x, 2 ** k, n) != n - 1 for k in range(twos)):
             return False
-    return n < _WITNESS_BOUND or all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+    if n < _WITNESS_BOUND or _pocklington(n):
+        return True
+    return all(n % f for f in range(43, math.isqrt(n) + 1, 2))
+
+
+def _pocklington(n: int) -> bool:
+    """Whether Pocklington's criterion proves n > 2 prime: n - 1 = F * R with
+    F^2 > n and, for each prime q dividing F, a base a with a^(n-1) = 1 and
+    gcd(a^((n-1)/q) - 1, n) = 1.  F is the part of n - 1 made of primes
+    below 2^16."""
+    primes, rest = [], n - 1
+    for q in range(2, 2 ** 16):       # a composite q no longer divides rest
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+    return ((n - 1) // rest) ** 2 > n and all(
+        any(pow(a, n - 1, n) == 1 and math.gcd(pow(a, (n - 1) // q, n) - 1, n) == 1
+            for a in _WITNESSES) for q in primes)
 
 
 class ScalarRing:

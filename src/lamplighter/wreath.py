@@ -181,30 +181,33 @@ def lamp_span(group: WreathGroup, generators: Iterable[Lamps], cap: int) -> list
     """The subgroup of the base group spanned by the lamp configurations
     ``generators``, by coset extension: with m <= d the order of the next
     generator g modulo the span S so far, the disjoint cosets S*g, ...,
-    S*g^(m-1) are appended in order.  m * |S| is checked against ``cap`` first."""
+    S*g^(m-1) are appended in order.  While g^m lies outside S the span
+    has at least (m + 1) * |S| members; that count is checked against
+    ``cap`` before each further power, so the cap bounds the work for any d."""
     members, seen = [group.identity], {()}      # seen: the lamps of the members
     for lamps in generators:
         g = power = WreathElement(group, lamps, 0)
         m = 1
         while power.lamps not in seen:
+            if (m + 1) * len(members) > cap:
+                raise LimitExceededError(f"subgroup closure exceeds the cap {cap}")
             power, m = power * g, m + 1
-        if m * len(members) > cap:
-            raise LimitExceededError(f"subgroup closure exceeds the cap {cap}")
-        coset = members
+        coset, new = members, []
         for _ in range(m - 1):
             coset = [c * g for c in coset]
-            seen.update(c.lamps for c in coset)
-            members = members + coset
+            new += coset
+        seen.update(c.lamps for c in new)
+        members += new
     return members
 
 
 def lamp_configurations(group: WreathGroup, positions: Sequence[int],
                         shifts: Sequence[int], cap: int) -> list[WreathElement]:
-    """Every b * x^n with b supported on ``positions`` (distinct) and n in
-    ``shifts``; the d^len(positions) * len(shifts) of them are counted
-    against ``cap`` before any is built.  Order: shifts as given, then lamp
-    values lexicographically over ``positions``, as the span of the lamps
-    a[p] taken last to first yields them.
+    """Every b * x^n with b supported on ``positions`` and n in ``shifts``.
+
+    The d^len(positions) * len(shifts) elements are counted against
+    ``cap`` before any is built.  Order: shifts as given, then lamp values
+    lexicographically over ``positions``.
     """
     count = group.d ** len(positions) * len(shifts)
     if count > cap:

@@ -131,6 +131,14 @@ def test_limit_exit_code(capsys):
     assert "limit" in err
 
 
+def test_annihilate_cap_bounds_a_huge_lamp_order(capsys):
+    # a[0] has order 10^12 in the base group; the closure refuses at the cap
+    # instead of first finding that order.
+    code, out, err = run_cli(capsys, "annihilate", "--d", str(10 ** 12), "--cap", "5", "a[0] - 1")
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: subgroup closure exceeds the cap 5\n"
+
+
 def test_invalid_config_exit_code(capsys):
     code, _, _ = run_cli(capsys, "mul", "--d", "1", "e", "e")
     assert code == 4

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lamplighter.errors import NotInvertibleError, RingMismatchError
-from lamplighter.ring import INTEGERS, ScalarRing, is_prime
+from lamplighter.ring import INTEGERS, ScalarRing, _pocklington, is_prime
 
 GF2 = ScalarRing(2)
 GF3 = ScalarRing(3)
@@ -144,11 +144,14 @@ def test_is_prime_agrees_with_trial_division():
         [n for n in range(-5, 10 ** 5) if trial_division(n)]
 
 
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+
+
 @pytest.mark.parametrize("n", [
     # the least strong pseudoprimes to the first k prime bases, k = 1..12
     2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
     3825123056546413051, 318665857834031151167461,
-    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,   # Carmichael numbers
+    *CARMICHAEL,
     (2 ** 89 - 1) * (2 ** 61 - 1), (2 ** 61 - 1) ** 2])     # past the exact Miller-Rabin bound
 def test_is_prime_rejects_pseudoprimes(n):
     start = time.perf_counter()
@@ -157,9 +160,20 @@ def test_is_prime_rejects_pseudoprimes(n):
 
 
 @pytest.mark.parametrize("n", [2 ** 31 - 1, 3037000493, 2 ** 61 - 1, 10 ** 18 + 9,
-                               3317044064679887385961813])
+                               3317044064679887385961813,
+                               2 ** 89 - 1, 28 * 2 ** 90 + 1])     # past the bound: proved
 def test_is_prime_accepts_large_primes_quickly(n):
     start = time.perf_counter()
     assert is_prime(n)
     assert ScalarRing(n).is_field
     assert time.perf_counter() - start < 0.1
+
+
+def test_pocklington_proves_primes_and_refuses_composites():
+    # Carmichael numbers pass the Fermat condition for every base prime to
+    # them; the gcd condition must still refuse them.
+    assert not any(_pocklington(n) for n in CARMICHAEL + [2047, 3215031751, 9, 15, 4095])
+    assert all(_pocklington(n) for n in [3, 5, 43, 65537, 2 ** 31 - 1, 2 ** 89 - 1])
+    # The part of 2^127 - 2 made of primes below 2^16 is about 3.7e16, below
+    # the square root of 2^127 - 1, so no proof is found.
+    assert not _pocklington(2 ** 127 - 1)

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -175,6 +176,17 @@ def test_lamp_span_cap_is_exact(d):
         if size > 1:
             with pytest.raises(LimitExceededError, match=f"closure exceeds the cap {size - 1}$"):
                 lamp_span(group, generators, size - 1)
+
+
+def test_lamp_span_cap_bounds_the_order_search():
+    # a[0] has order 10^6; the span refuses after a handful of products,
+    # not after the million it takes to find that order.
+    start = time.perf_counter()
+    with pytest.raises(LimitExceededError, match="closure exceeds the cap 5$"):
+        lamp_span(WreathGroup(10 ** 6), [((0, 1),)], 5)
+    with pytest.raises(LimitExceededError, match="closure exceeds the cap 5$"):
+        lamp_span(WreathGroup(10 ** 6), [((0, 500000),), ((1, 1),)], 5)   # |S| = 2, then a[1]
+    assert time.perf_counter() - start < 0.1
 
 
 def test_lamp_configurations_order():
