@@ -25,13 +25,15 @@ import json
 import random
 import sys
 
+import numpy as np
+
 from . import certificates, foxwords, oresearch
 from .errors import (ConfigError, LamplighterError, LimitExceededError,
                      NotInAugmentationIdealError, ParseError, SupportError)
 from .groupring import GroupRing
 from .linalg import MAX_PRIME
 from .parsing import parse_ring_element
-from .ring import ScalarRing, is_prime
+from .ring import _WITNESS_BOUND, ScalarRing, is_prime
 from .wreath import DEFAULT_CAP, WreathGroup
 
 EXIT_OK = 0
@@ -84,6 +86,9 @@ def _validate(args, need_prime: bool = False, need_match: bool = False,
         raise ConfigError(f"--mod must be 0 (integers) or >= 2, got {args.mod}")
     if need_elimination and args.mod > MAX_PRIME:
         raise ConfigError(f"--mod must be at most {MAX_PRIME} for elimination, got {args.mod}")
+    if need_prime and args.mod >= _WITNESS_BOUND:
+        raise ConfigError(f"--mod must be below {_WITNESS_BOUND} for this command, "
+                          f"got {args.mod}")
     if need_prime and not is_prime(args.mod):
         raise ConfigError(f"--mod must be a prime for this command, got {args.mod}")
     if need_match and args.mod != args.d:
@@ -101,13 +106,76 @@ def _validate(args, need_prime: bool = False, need_match: bool = False,
 def _emit(args, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ": "))
+_SPECIAL = np.zeros(256, dtype=bool)
+_SPECIAL[list(b'"\\[]{},')] = True
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[list(b"[{")], _DEPTH_STEP[list(b"]}")] = 1, -1
 
 
 def _dump(data) -> str:
-    return json.dumps(data, indent=2)
+    """``json.dumps(data, indent=2)``, byte for byte, but encoded by the C
+    encoder, which ``json`` uses only without ``indent``.
+
+    The compact text is ASCII.  A quote delimits a string unless an odd run
+    of backslashes precedes it.  Outside strings, a newline and two spaces
+    per depth go after each comma and non-empty opening bracket and before
+    each non-empty closing bracket.  Arrays are sized by those characters,
+    except one int8 mask over the output, and temporaries are dropped early,
+    so the traced peak stays below the pure-Python encoder's.
+    """
+    text = np.frombuffer(_COMPACT.encode(data).encode("ascii"), dtype=np.uint8)
+    pos = np.flatnonzero(_SPECIAL[text])
+    char = text[pos]
+    # Backslash runs, behind a sentinel that no quote can follow.
+    slashes = np.concatenate(([-2], pos[char == ord("\\")]))
+    run_start = np.where(np.diff(slashes, prepend=-4) != 1, slashes, -4)
+    np.maximum.accumulate(run_start, out=run_start)
+    quotes = pos[char == ord('"')]
+    last = np.searchsorted(slashes, quotes) - 1
+    quotes = quotes[(slashes[last] != quotes - 1) | ((quotes - run_start[last]) % 2 == 0)]
+    pos = pos[(char != ord('"')) & (char != ord("\\"))]
+    inside = np.searchsorted(quotes, pos)
+    inside &= 1
+    pos = pos[inside == 0]
+    del char, inside
+    step = _DEPTH_STEP[text[pos]]
+    depth = np.cumsum(step, dtype=np.int64)
+    empty = np.zeros(len(pos) + 1, dtype=bool)
+    empty[1:-1] = (step[:-1] == 1) & (step[1:] == -1) & (np.diff(pos) == 1)
+    keep = ~(empty[1:] | empty[:-1])
+    # An insertion goes after a comma or an opening bracket, before a closing one.
+    pos += step != -1
+    pos = pos[keep]
+    width = depth[keep]
+    del depth, step, keep, empty
+    width *= 2
+    width += 1
+    start = np.cumsum(width)
+    start -= width
+    start += pos
+    del pos
+    total = len(text) + int(width.sum())
+    out = np.full(total, ord(" "), dtype=np.uint8)
+    out[start] = ord("\n")
+    original = np.zeros(total + 1, dtype=np.int8)
+    original[start] = -1
+    start += width
+    original[start] = 1
+    del start, width
+    np.add.accumulate(original, dtype=np.int8, out=original)
+    original += 1
+    out[original[:-1].view(bool)] = text
+    del original, text
+    return str(out.data, "ascii")
 
 
 def _cmd_mul(args) -> int:

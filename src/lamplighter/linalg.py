@@ -40,9 +40,9 @@ def rref_mod_p(matrix: np.ndarray, p: int,
     pivot: the pivots are then exactly the columns before it, and R holds
     their rows, fully reduced up to and including that column.
     """
+    dtype = working_dtype(p)      # refuses a huge p before the primality test
     if not is_prime(p):
         raise UnsupportedRingError(f"linear algebra needs a prime modulus, got {p}")
-    dtype = working_dtype(p)
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("need a 2-d matrix")

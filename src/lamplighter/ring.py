@@ -59,13 +59,21 @@ class ScalarRing:
     exactly when the modulus is prime.
     """
 
-    __slots__ = ("modulus", "is_field")
+    __slots__ = ("modulus", "_is_field")
 
     def __init__(self, modulus: int = 0):
         if modulus != 0 and modulus < 2:
             raise ValueError(f"modulus must be 0 (integers) or >= 2, got {modulus}")
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "is_field", modulus != 0 and is_prime(modulus))
+        object.__setattr__(self, "_is_field", None)
+
+    @property
+    def is_field(self) -> bool:
+        """Whether the modulus is prime.  Tested on first access and kept, so
+        rings that never divide never pay for :func:`is_prime`."""
+        if self._is_field is None:
+            object.__setattr__(self, "_is_field", self.modulus != 0 and is_prime(self.modulus))
+        return self._is_field
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarRing is immutable")

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and random-value generators.
+"""Shared test helpers: independent oracles, random-value generators and a
+time limit for calls that used to hang.
 
 The oracles here deliberately avoid the code paths they check:
 
@@ -10,6 +11,9 @@ The oracles here deliberately avoid the code paths they check:
 """
 
 from __future__ import annotations
+
+import contextlib
+import signal
 
 from lamplighter.groupring import GroupRing, GroupRingElement
 from lamplighter.wreath import WreathElement, WreathGroup
@@ -122,3 +126,19 @@ def random_free_word(rng, max_len: int = 12):
     letters = tuple((rng.choice("ax"), rng.choice((1, -1)))
                     for _ in range(rng.randint(0, max_len)))
     return FreeWord(letters)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass,
+    so a regression to a hang fails the test instead of stalling the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

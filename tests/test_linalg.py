@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import time_limit
 from lamplighter.errors import UnsupportedRingError
 from lamplighter.groupring import GroupRing, left_mul_matrix
 from lamplighter.linalg import (MAX_PRIME, first_kernel_vector, matrix_rank_mod_p,
@@ -147,6 +148,12 @@ def test_primes_past_the_int64_bound_are_refused(p):
     algebra = GroupRing(ScalarRing(p), WreathGroup(2))
     with pytest.raises(UnsupportedRingError, match="overflow int64"):
         left_mul_matrix(algebra.one, [algebra.group.identity])
+
+
+def test_huge_prime_is_refused_before_the_primality_test():
+    # is_prime(2^127 - 1) ends in trial division; the int64 bound refuses first.
+    with time_limit(0.9), pytest.raises(UnsupportedRingError, match="overflow int64"):
+        nullspace_mod_p(np.eye(2, dtype=np.int64), 2 ** 127 - 1)
 
 
 def test_non_prime_modulus_rejected():
