@@ -568,22 +568,20 @@ def check_matrix_cells(rows: int, cols: int) -> None:
                                  f"{MAX_MATRIX_CELLS} cells")
 
 
-def left_mul_matrix(alpha: GroupRingElement,
-                    domain: Sequence[WreathElement] | CodedElements,
-                    codomain: Sequence[WreathElement] | None = None) -> np.ndarray:
-    """Coefficient matrix of g -> alpha * g on finite supports.
+def left_mul_rows(alpha: GroupRingElement,
+                  domain: Sequence[WreathElement] | CodedElements,
+                  codomain: Sequence[WreathElement] | None = None) -> tuple[np.ndarray, int]:
+    """Row indices of the coefficient matrix of g -> alpha * g, and its height.
 
-    Column j holds the coefficient vector of ``alpha * domain[j]``.  Rows
-    follow ``codomain``; without one they are the distinct products in
+    Entry [k, j] is the row of ``h_k * domain[j]``, where h_k is the k-th
+    term of alpha, so column j holds the coefficient of h_k at that row;
+    h * g = h' * g forces h = h', so the rows of a column are distinct.
+    Rows follow ``codomain``; without one they are the distinct products in
     code order (see :func:`element_codes`), which no kernel depends on.
-    Entries are canonical representatives of the coefficient field.
     Raises :class:`WindowOverflowError` if a product has support outside
     ``codomain`` and :class:`LimitExceededError` if the matrix would have
     more than ``MAX_MATRIX_CELLS`` cells (see :func:`check_matrix_cells`).
     """
-    ring = alpha.ring
-    if not ring.is_field:
-        raise UnsupportedRingError(f"left_mul_matrix needs field coefficients, got {ring!r}")
     if not isinstance(domain, CodedElements):
         domain = CodedElements.encode(alpha.group, domain)
     products = domain.left_translates(list(alpha.terms))
@@ -603,8 +601,24 @@ def left_mul_matrix(alpha: GroupRingElement,
             raise WindowOverflowError(f"support of alpha*{g} escapes the codomain at {k}")
         rows, height = order[found], len(codomain)
     check_matrix_cells(height, len(domain))
-    mat = np.zeros((height, len(domain)), dtype=working_dtype(ring.modulus))
-    # h * g = h' * g forces h = h', so every cell is written at most once.
-    mat[rows, np.tile(np.arange(len(domain)), len(alpha.terms))] = \
-        np.repeat(np.array(list(alpha.terms.values()), dtype=mat.dtype), len(domain))
+    return rows.reshape(len(alpha.terms), len(domain)), height
+
+
+def left_mul_matrix(alpha: GroupRingElement,
+                    domain: Sequence[WreathElement] | CodedElements,
+                    codomain: Sequence[WreathElement] | None = None) -> np.ndarray:
+    """Coefficient matrix of g -> alpha * g on finite supports.
+
+    Column j holds the coefficient vector of ``alpha * domain[j]``, with
+    rows as in :func:`left_mul_rows`.  Entries are canonical
+    representatives of the coefficient field.
+    """
+    ring = alpha.ring
+    dtype = working_dtype(ring.modulus)       # refuses a huge modulus before is_field
+    if not ring.is_field:
+        raise UnsupportedRingError(f"left_mul_matrix needs field coefficients, got {ring!r}")
+    rows, height = left_mul_rows(alpha, domain, codomain)
+    mat = np.zeros((height, rows.shape[1]), dtype=dtype)
+    mat[rows, np.arange(rows.shape[1])] = np.array(list(alpha.terms.values()),
+                                                  dtype=dtype)[:, None]
     return mat

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over prime fields GF(p).
+"""Exact linear algebra over prime fields GF(p).
 
 Reduced row echelon form with leftmost-pivot elimination and the
 standard kernel basis built from its free columns.  The RREF of a matrix
@@ -8,10 +8,14 @@ or any internal chunking.
 
 Matrices are numpy integer arrays holding canonical representatives in
 [0, p).  For p = 2 a packed-bitset elimination path keeps the large
-window searches fast; it produces the same unique RREF.
+window searches fast; it produces the same unique RREF.  The first
+kernel vector alone comes from a one-pass sparse elimination of the
+columns (:func:`first_dependency`), which never builds the matrix.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -31,25 +35,28 @@ def working_dtype(p: int):
     return np.int16 if (p - 1) * (p - 1) + p <= np.iinfo(np.int16).max else np.int64
 
 
-def rref_mod_p(matrix: np.ndarray, p: int,
-               stop_at_free: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p).
-
-    Returns (R, pivot_columns) where R holds only the nonzero rows.  With
-    ``stop_at_free`` elimination stops at the first column without a
-    pivot: the pivots are then exactly the columns before it, and R holds
-    their rows, fully reduced up to and including that column.
-    """
-    dtype = working_dtype(p)      # refuses a huge p before the primality test
+def _field_dtype(p: int):
+    """``working_dtype(p)`` for a prime p; the int64 bound is checked first,
+    so a huge p is refused before the primality test."""
+    dtype = working_dtype(p)
     if not is_prime(p):
         raise UnsupportedRingError(f"linear algebra needs a prime modulus, got {p}")
+    return dtype
+
+
+def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p).
+
+    Returns (R, pivot_columns) where R holds only the nonzero rows.
+    """
+    dtype = _field_dtype(p)
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("need a 2-d matrix")
     if a.size == 0:
         return np.zeros((0, a.shape[1]), dtype=np.int64), []
     if p == 2:
-        return _rref_gf2(a, stop_at_free)
+        return _rref_gf2(a)
     r = np.asarray(a % p, dtype=dtype)
     m, n = r.shape
     row = 0
@@ -59,8 +66,6 @@ def rref_mod_p(matrix: np.ndarray, p: int,
             break
         nz = np.nonzero(r[row:, col])[0]
         if nz.size == 0:
-            if stop_at_free:
-                break
             continue
         pivot = row + int(nz[0])
         if pivot != row:
@@ -77,7 +82,7 @@ def rref_mod_p(matrix: np.ndarray, p: int,
     return r[:row].astype(np.int64), pivots
 
 
-def _rref_gf2(a: np.ndarray, stop_at_free: bool) -> tuple[np.ndarray, list[int]]:
+def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """GF(2) elimination on rows packed into uint64 words."""
     m, n = a.shape
     packed = np.packbits((a % 2).astype(np.uint8), axis=1)
@@ -95,8 +100,6 @@ def _rref_gf2(a: np.ndarray, stop_at_free: bool) -> tuple[np.ndarray, list[int]]
         column = words[:, byte_index] & byte_bit
         nz = np.nonzero(column[row:])[0]
         if nz.size == 0:
-            if stop_at_free:
-                break
             continue
         pivot = row + int(nz[0])
         if pivot != row:
@@ -131,29 +134,40 @@ def nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def first_kernel_vector(matrix: np.ndarray, p: int) -> np.ndarray | None:
-    """``nullspace_mod_p(matrix, p)[0]``, or None for an injective matrix.
+def first_dependency(columns: Iterable[Mapping[int, int]], p: int) -> dict[int, int] | None:
+    """The first kernel vector of a matrix given column by column (each a
+    map row -> entry), as {column: entry}, or None for independent columns.
 
-    That vector belongs to the first free column f and reads only R[:, f]
-    of the pivot rows left of f.  An RREF prefix is the RREF of the column
-    prefix, so elimination runs on column prefixes of growing width and
-    stops at f.
+    One pass inserts the columns into a sparse echelon basis keyed by each
+    vector's largest row, normalised to 1; each vector carries its column
+    combination under the keys ~j < 0, below every row.  The first column f
+    that reduces to zero is a combination of the independent columns before
+    it in exactly one way, so its combination, with entry 1 at f, is
+    ``nullspace_mod_p(matrix, p)[0]`` whatever the order.  Later columns are
+    never read.
     """
-    a = np.asarray(matrix)
-    n = a.shape[1]
-    width = min(n, 32)
-    while True:
-        r, pivots = rref_mod_p(a[:, :width], p, stop_at_free=True)
-        free = len(pivots)      # every column before the first free one has a pivot
-        if free < width:
-            break
-        if width == n:
-            return None
-        width = min(4 * width, n)
-    vector = np.zeros(n, dtype=np.int64)
-    vector[free] = 1
-    vector[:free] = (-r[:free, free]) % p
-    return vector
+    _field_dtype(p)       # the refusals of rref_mod_p
+    basis: dict[int, dict[int, int]] = {}
+    for j, column in enumerate(columns):
+        vector = {r: c % p for r, c in column.items() if c % p}
+        vector[~j] = 1
+        while (top := max(vector)) >= 0:
+            pivot = basis.get(top)
+            if pivot is None:
+                inverse = pow(vector[top], p - 2, p)
+                basis[top] = vector if inverse == 1 else \
+                    {k: c * inverse % p for k, c in vector.items()}
+                break
+            factor = vector[top]
+            for k, c in pivot.items():
+                c = (vector.get(k, 0) - factor * c) % p
+                if c:
+                    vector[k] = c
+                else:
+                    del vector[k]
+        else:
+            return {~k: c for k, c in vector.items()}
+    return None
 
 
 def matrix_rank_mod_p(matrix: np.ndarray, p: int) -> int:

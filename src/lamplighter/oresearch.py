@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import LamplighterError, UnsupportedRingError
 from .groupring import (CodedElements, GroupRing, GroupRingElement, check_matrix_cells,
-                        element_codes, left_mul_matrix)
-from .linalg import first_kernel_vector, nullspace_mod_p
+                        element_codes, left_mul_matrix, left_mul_rows)
+from .linalg import first_dependency, nullspace_mod_p, working_dtype
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
 
 
@@ -88,6 +88,7 @@ def _combination(algebra: GroupRing, elements, vector) -> GroupRingElement:
 
 
 def _field_modulus(algebra: GroupRing) -> int:
+    working_dtype(algebra.ring.modulus)     # refuses a huge modulus before is_field
     if not algebra.ring.is_field:
         raise UnsupportedRingError(
             f"the window solver needs GF(p) coefficients, got {algebra.ring!r}")
@@ -144,18 +145,21 @@ def annihilator_search(sigma: GroupRingElement, search_window: Window,
 
     None is inconclusive: it never certifies that sigma is a
     non-zerodivisor, only that no annihilator lives in this window.  The
-    witness is the first vector of the canonical kernel basis (see
-    linalg.first_kernel_vector); the matrix rows stay in code order,
-    which the kernel does not depend on.
+    witness is the first vector of the canonical kernel basis of the
+    matrix of g -> sigma * g (see linalg.first_dependency), found without
+    building the matrix; its rows stay in code order, which the kernel
+    does not depend on.
     """
     if sigma.is_zero():
         raise ValueError("annihilator search needs a nonzero element")
     p = _field_modulus(sigma.algebra)
     domain, coded = _coded_window(sigma.group, search_window, cap)
-    first = first_kernel_vector(left_mul_matrix(sigma, coded), p)
+    rows, _ = left_mul_rows(sigma, coded)
+    coeffs = list(sigma.terms.values())
+    first = first_dependency((dict(zip(column.tolist(), coeffs)) for column in rows.T), p)
     if first is None:
         return None
-    return _combination(sigma.algebra, domain, first)
+    return sigma.algebra.element([(domain[j], c) for j, c in sorted(first.items())])
 
 
 @dataclass(frozen=True)

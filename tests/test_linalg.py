@@ -6,7 +6,7 @@ import pytest
 from conftest import time_limit
 from lamplighter.errors import UnsupportedRingError
 from lamplighter.groupring import GroupRing, left_mul_matrix
-from lamplighter.linalg import (MAX_PRIME, first_kernel_vector, matrix_rank_mod_p,
+from lamplighter.linalg import (MAX_PRIME, first_dependency, matrix_rank_mod_p,
                                nullspace_mod_p, rref_mod_p, working_dtype)
 from lamplighter.ring import ScalarRing
 from lamplighter.wreath import WreathGroup
@@ -118,6 +118,22 @@ def reference_kernel(matrix, p):
     return basis
 
 
+def sparse_columns(matrix):
+    """The columns of a dense matrix as {row: entry} maps, zeros left out."""
+    return [{int(r): int(column[r]) for r in np.flatnonzero(column)}
+            for column in np.asarray(matrix).T]
+
+
+def first_kernel_vector(matrix, p):
+    """first_dependency of the columns, as a dense vector, or None."""
+    found = first_dependency(sparse_columns(matrix), p)
+    if found is None:
+        return None
+    vector = np.zeros(np.asarray(matrix).shape[1], dtype=np.int64)
+    vector[list(found)] = list(found.values())
+    return vector
+
+
 def test_max_prime_is_the_int64_bound_of_elimination():
     assert (MAX_PRIME - 1) ** 2 + MAX_PRIME <= np.iinfo(np.int64).max < MAX_PRIME ** 2 + 1
     assert working_dtype(181) == np.int16 and working_dtype(191) == np.int64
@@ -152,8 +168,9 @@ def test_primes_past_the_int64_bound_are_refused(p):
 
 def test_huge_prime_is_refused_before_the_primality_test():
     # is_prime(2^127 - 1) ends in trial division; the int64 bound refuses first.
-    with time_limit(0.9), pytest.raises(UnsupportedRingError, match="overflow int64"):
-        nullspace_mod_p(np.eye(2, dtype=np.int64), 2 ** 127 - 1)
+    for call in (nullspace_mod_p, first_kernel_vector):
+        with time_limit(0.9), pytest.raises(UnsupportedRingError, match="overflow int64"):
+            call(np.eye(2, dtype=np.int64), 2 ** 127 - 1)
 
 
 def test_non_prime_modulus_rejected():
@@ -161,13 +178,15 @@ def test_non_prime_modulus_rejected():
         rref_mod_p(np.eye(2, dtype=int), 4)
     with pytest.raises(UnsupportedRingError):
         nullspace_mod_p(np.eye(2, dtype=int), 6)
+    with pytest.raises(UnsupportedRingError):
+        first_kernel_vector(np.eye(2, dtype=int), 9)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_first_kernel_vector_is_the_first_basis_vector(p):
-    # Early-stopped elimination against the full kernel basis: tall, wide,
-    # zero-row and zero-column shapes, full-rank and rank-deficient
-    # entries, and widths past the column prefixes it eliminates first.
+    # One-pass sparse elimination against the full kernel basis: tall,
+    # wide, zero-row and zero-column shapes, full-rank and rank-deficient
+    # entries, and widths of a few hundred columns.
     rng = np.random.default_rng(500 + p)
     shapes = [(0, 0), (4, 0), (0, 5), (200, 150), (60, 150), (150, 40), (300, 140)]
     for _ in range(30):

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import time_limit
 from lamplighter.certificates import RelatorCoefficients, certify
 from lamplighter.errors import LimitExceededError, UnsupportedRingError
 from lamplighter.groupring import GroupRing, left_mul_matrix
 from lamplighter.linalg import nullspace_mod_p
-from lamplighter.oresearch import (Window, annihilator_search, build_system,
+from lamplighter.oresearch import (Window, _combination, annihilator_search, build_system,
                                    check_solution, nullspace, run_search)
 from lamplighter.ring import INTEGERS, ScalarRing
 from lamplighter.wreath import WreathElement, WreathGroup
@@ -114,6 +116,73 @@ def test_annihilator_search_inconclusive_for_one_minus_x():
     sigma = one_minus_x(F2G2)
     for win in (Window(0, 0), Window(1, 1), Window(2, 2)):
         assert annihilator_search(sigma, win) is None
+
+
+ALGEBRAS = [GroupRing(ScalarRing(p), WreathGroup(d)) for p in (2, 3, 5) for d in (2, 3)]
+
+
+@st.composite
+def sigmas_and_windows(draw):
+    """A nonzero sigma near the identity and a search window of at most
+    (2,2).  Half the sigmas are tau * (1 - a), which the sum of the powers
+    of a annihilates inside every window, so both outcomes occur."""
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    group, p = algebra.group, algebra.ring.modulus
+    term = st.tuples(st.dictionaries(st.integers(-2, 2), st.integers(1, group.d - 1),
+                                     max_size=3),
+                     st.integers(-2, 2), st.integers(1, p - 1))
+    sigma = algebra.element([(group.element(lamps, shift), c)
+                             for lamps, shift, c in draw(st.lists(term, min_size=1, max_size=4))])
+    if draw(st.booleans()):
+        sigma = sigma * one_minus_a(algebra)
+    assume(not sigma.is_zero())
+    return sigma, Window(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigmas_and_windows())
+@example((one_minus_x(F3G2), Window(2, 2)))                       # injective: None
+@example((F2G2.one + F2G2.monomial(G2.generator_a(0)), Window(1, 1)))   # a witness
+def test_annihilator_search_equals_the_dense_kernel(case):
+    # The one-pass sparse elimination against the first vector of the
+    # canonical kernel basis of the dense matrix.
+    sigma, window = case
+    domain = window.elements(sigma.group)
+    kernel = nullspace_mod_p(left_mul_matrix(sigma, domain), sigma.ring.modulus)
+    want = _combination(sigma.algebra, domain, kernel[0]) if len(kernel) else None
+    assert annihilator_search(sigma, window) == want
+
+
+@pytest.mark.parametrize("window", [Window(1, 4), Window(2, 2)])
+def test_annihilator_search_stays_below_the_dense_matrix(window):
+    # An injective sigma of (1,4), eliminated to the last column, and the
+    # largest sigma of (2,2): the search never holds its dense matrix.
+    report = run_search(F2G2, window)
+    search = window.widened(lamps=1)
+    if window == Window(1, 4):
+        sigma = next(r.sigma for r in report.solutions if r.annihilator is None)
+    else:
+        sigma = max((r.sigma for r in report.solutions), key=len)
+    dense = left_mul_matrix(sigma, search.elements(G2)).nbytes
+    annihilator_search(sigma, search)           # the window's codes are cached
+    tracemalloc.start()
+    try:
+        annihilator_search(sigma, search)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense
+
+
+def test_huge_modulus_is_refused_before_the_primality_test():
+    # is_prime(2^127 - 1) ends in trial division; the int64 bound refuses first.
+    algebra = GroupRing(ScalarRing(2 ** 127 - 1), G2)
+    sigma = algebra.one + algebra.monomial(G2.generator_a(0))
+    for call in (lambda: left_mul_matrix(sigma, [G2.identity]),
+                 lambda: annihilator_search(sigma, Window(0, 0)),
+                 lambda: run_search(algebra, Window(0, 0))):
+        with time_limit(0.9), pytest.raises(UnsupportedRingError, match="overflow int64"):
+            call()
 
 
 def test_annihilator_search_rejects_zero():
