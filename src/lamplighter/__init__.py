@@ -11,8 +11,7 @@ from .certificates import (Certificate, LampVector, RelatorCoefficients,
                            zerodivisor_from_coefficients)
 from .errors import (ConfigError, LamplighterError, LimitExceededError,
                      NotInAugmentationIdealError, NotInvertibleError, ParseError,
-                     RingMismatchError, SupportError, UnsupportedRingError,
-                     WindowOverflowError)
+                     RingMismatchError, SupportError, UnsupportedRingError)
 from .foxwords import (FreeWord, ModuleVector, boundary_from_generators,
                        boundary_from_relators, evaluate, fox_derivative, parse_word,
                        relator_word)
@@ -33,7 +32,7 @@ __all__ = [
     "NotInvertibleError", "OreSystem", "ParseError",
     "RelatorCoefficients", "RingMismatchError", "Scalar", "ScalarRing",
     "SearchReport", "SolutionRecord", "SupportError", "UnsupportedRingError",
-    "Window", "WindowOverflowError", "WreathElement", "WreathGroup",
+    "Window", "WreathElement", "WreathGroup",
     "annihilator_search", "boundary_from_generators", "boundary_from_relators",
     "build_system", "certify", "check_solution", "evaluate",
     "finite_subgroup_annihilator", "fox_derivative", "lamp_subgroup",

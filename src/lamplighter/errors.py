@@ -30,10 +30,6 @@ class ParseError(LamplighterError):
         self.position = position
 
 
-class WindowOverflowError(LamplighterError):
-    """A computed support escaped the window it was required to stay in."""
-
-
 class LimitExceededError(LamplighterError):
     """An enumeration would exceed the configured element cap."""
 

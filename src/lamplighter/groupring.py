@@ -8,10 +8,12 @@ Beyond the ring operations this module provides
 * the projection onto the Laurent ring k[x, x^-1] induced by the group
   quotient b * x^n -> x^n, whose kernel is the ideal generated by the
   base group's augmentation ideal, and
-* dense coefficient matrices of left-multiplication maps restricted to
-  finite supports, which feed the Ore-equation solver.  They are built
-  from integer-coded elements (:class:`CodedElements`), not from
-  per-cell products of wreath elements.
+* left-multiplication maps restricted to finite supports: the row of
+  every product (:func:`left_mul_rows`), which the annihilator search
+  reads column by column, and the dense coefficient matrix
+  (:func:`left_mul_matrix`).  Rows are the distinct products in code
+  order, found by index arithmetic on integer-coded elements
+  (:class:`CodedElements`), not by per-cell products of wreath elements.
 
 Coefficients are stored internally as canonical Python ints for speed;
 :class:`~lamplighter.ring.Scalar` values appear at the API boundary.
@@ -23,8 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (LimitExceededError, RingMismatchError, UnsupportedRingError,
-                     WindowOverflowError)
+from .errors import LimitExceededError, RingMismatchError, UnsupportedRingError
 from .linalg import working_dtype
 from .ring import Scalar, ScalarRing
 from .wreath import WreathElement, WreathGroup
@@ -442,24 +443,19 @@ class CodedElements:
         return CodedElements(self.group, lo, shifts, digits.reshape(m * n, hi - lo))
 
 
-def element_codes(*tables: CodedElements) -> list[np.ndarray]:
-    """One sortable code per row of each table, equal iff the elements are.
+def element_codes(table: CodedElements) -> np.ndarray:
+    """One sortable code per row of the table, equal iff the elements are.
 
-    All tables are read in one frame: the shift offset and each lamp
-    digit are mixed-radix digits, packed into as many int64 words as
-    exactness needs.  One word gives an int64 code; several give a
-    fixed-width byte string, so no window overflows the code.  Codes are
-    summed one digit column at a time, so no rows x digits matrix of
-    int64 is built.
+    The shift offset and each lamp digit are mixed-radix digits, packed
+    into as many int64 words as exactness needs.  One word gives an int64
+    code; several give a fixed-width byte string, so no window overflows
+    the code.  Codes are summed one digit column at a time, so no rows x
+    digits matrix of int64 is built.
     """
-    used = [t for t in tables if len(t)]
-    if not used:
-        return [np.zeros(0, dtype=np.int64) for _ in tables]
-    lo = min(t.lo for t in used)
-    hi = max(t.lo + t.digits.shape[1] for t in used)
-    low = min(int(t.shifts.min()) for t in used)
-    high = max(int(t.shifts.max()) for t in used)
-    radices = [high - low + 1] + [used[0].group.d] * (hi - lo)
+    if not len(table):
+        return np.zeros(0, dtype=np.int64)
+    low = int(table.shifts.min())
+    radices = [int(table.shifts.max()) - low + 1] + [table.group.d] * table.digits.shape[1]
     place, words = [], 0              # (word, place value) of each digit column
     while len(place) < len(radices):
         start = stop = len(place)
@@ -471,16 +467,13 @@ def element_codes(*tables: CodedElements) -> list[np.ndarray]:
             span //= radix
             place.append((words, np.int64(span)))
         words += 1
-    codes = []
-    for t in tables:
-        packed = np.zeros((words, len(t)), dtype=np.int64)
-        packed[0] = (t.shifts - low) * place[0][1]
-        for k in range(t.digits.shape[1]):
-            word, value = place[1 + t.lo - lo + k]
-            packed[word] += np.multiply(t.digits[:, k], value, dtype=np.int64)
-        codes.append(packed[0] if words == 1 else
-                     np.ascontiguousarray(packed.T).view(np.dtype((np.void, 8 * words)))[:, 0])
-    return codes
+    packed = np.zeros((words, len(table)), dtype=np.int64)
+    packed[0] = (table.shifts - low) * place[0][1]
+    for k in range(table.digits.shape[1]):
+        word, value = place[1 + k]
+        packed[word] += np.multiply(table.digits[:, k], value, dtype=np.int64)
+    return packed[0] if words == 1 else \
+        np.ascontiguousarray(packed.T).view(np.dtype((np.void, 8 * words)))[:, 0]
 
 
 # Products of at least this many term pairs run through the coded kernel
@@ -541,7 +534,7 @@ def _coded_product(left: GroupRingElement, right: GroupRingElement) -> dict[Wrea
     """
     products = CodedElements.encode(left.group, list(right.terms)).left_translates(
         list(left.terms))
-    table, first, inverse = np.unique(element_codes(products)[0],
+    table, first, inverse = np.unique(element_codes(products),
                                       return_index=True, return_inverse=True)
     acc = np.zeros(len(table), dtype=np.int64)
     np.add.at(acc, inverse, np.multiply.outer(
@@ -569,44 +562,27 @@ def check_matrix_cells(rows: int, cols: int) -> None:
 
 
 def left_mul_rows(alpha: GroupRingElement,
-                  domain: Sequence[WreathElement] | CodedElements,
-                  codomain: Sequence[WreathElement] | None = None) -> tuple[np.ndarray, int]:
+                  domain: Sequence[WreathElement] | CodedElements) -> tuple[np.ndarray, int]:
     """Row indices of the coefficient matrix of g -> alpha * g, and its height.
 
     Entry [k, j] is the row of ``h_k * domain[j]``, where h_k is the k-th
     term of alpha, so column j holds the coefficient of h_k at that row;
     h * g = h' * g forces h = h', so the rows of a column are distinct.
-    Rows follow ``codomain``; without one they are the distinct products in
-    code order (see :func:`element_codes`), which no kernel depends on.
-    Raises :class:`WindowOverflowError` if a product has support outside
-    ``codomain`` and :class:`LimitExceededError` if the matrix would have
-    more than ``MAX_MATRIX_CELLS`` cells (see :func:`check_matrix_cells`).
+    The rows are the distinct products in code order (see
+    :func:`element_codes`), which no kernel depends on.  Raises
+    :class:`LimitExceededError` if the matrix would have more than
+    ``MAX_MATRIX_CELLS`` cells (see :func:`check_matrix_cells`).
     """
     if not isinstance(domain, CodedElements):
         domain = CodedElements.encode(alpha.group, domain)
     products = domain.left_translates(list(alpha.terms))
-    if codomain is None:
-        table, rows = np.unique(element_codes(products)[0], return_inverse=True)
-        height = len(table)
-    else:
-        codes, table = element_codes(products, CodedElements.encode(alpha.group, codomain))
-        order = np.argsort(table, kind="stable")
-        found = np.searchsorted(table, codes, sorter=order)
-        hit = found < len(table)
-        hit[hit] = table[order[found[hit]]] == codes[hit]
-        if not hit.all():
-            i = int(np.argmin(hit))
-            g = domain.take([i % len(domain)]).decode()[0]
-            k = products.take([i]).decode()[0]
-            raise WindowOverflowError(f"support of alpha*{g} escapes the codomain at {k}")
-        rows, height = order[found], len(codomain)
-    check_matrix_cells(height, len(domain))
-    return rows.reshape(len(alpha.terms), len(domain)), height
+    table, rows = np.unique(element_codes(products), return_inverse=True)
+    check_matrix_cells(len(table), len(domain))
+    return rows.reshape(len(alpha.terms), len(domain)), len(table)
 
 
 def left_mul_matrix(alpha: GroupRingElement,
-                    domain: Sequence[WreathElement] | CodedElements,
-                    codomain: Sequence[WreathElement] | None = None) -> np.ndarray:
+                    domain: Sequence[WreathElement] | CodedElements) -> np.ndarray:
     """Coefficient matrix of g -> alpha * g on finite supports.
 
     Column j holds the coefficient vector of ``alpha * domain[j]``, with
@@ -617,7 +593,7 @@ def left_mul_matrix(alpha: GroupRingElement,
     dtype = working_dtype(ring.modulus)       # refuses a huge modulus before is_field
     if not ring.is_field:
         raise UnsupportedRingError(f"left_mul_matrix needs field coefficients, got {ring!r}")
-    rows, height = left_mul_rows(alpha, domain, codomain)
+    rows, height = left_mul_rows(alpha, domain)
     mat = np.zeros((height, rows.shape[1]), dtype=dtype)
     mat[rows, np.arange(rows.shape[1])] = np.array(list(alpha.terms.values()),
                                                   dtype=dtype)[:, None]

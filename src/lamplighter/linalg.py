@@ -7,10 +7,9 @@ returned here is canonical: independent of row order, duplicated rows,
 or any internal chunking.
 
 Matrices are numpy integer arrays holding canonical representatives in
-[0, p).  For p = 2 a packed-bitset elimination path keeps the large
-window searches fast; it produces the same unique RREF.  The first
-kernel vector alone comes from a one-pass sparse elimination of the
-columns (:func:`first_dependency`), which never builds the matrix.
+[0, p); one elimination loop serves every p.  The first kernel vector
+alone comes from a one-pass sparse elimination of the columns
+(:func:`first_dependency`), which never builds the matrix.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         raise ValueError("need a 2-d matrix")
     if a.size == 0:
         return np.zeros((0, a.shape[1]), dtype=np.int64), []
-    if p == 2:
-        return _rref_gf2(a)
     r = np.asarray(a % p, dtype=dtype)
     m, n = r.shape
     row = 0
@@ -72,47 +69,14 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             r[[row, pivot]] = r[[pivot, row]]
         inv = pow(int(r[row, col]), p - 2, p)
         if inv != 1:
-            r[row] = (r[row] * inv) % p
+            r[row, col:] = (r[row, col:] * inv) % p
         hits = np.nonzero(r[:, col])[0]
         hits = hits[hits != row]
         if hits.size:
-            r[hits] = (r[hits] - r[hits, col, None] * r[row]) % p
+            r[hits, col:] = (r[hits, col:] - r[hits, col, None] * r[row, col:]) % p
         pivots.append(col)
         row += 1
     return r[:row].astype(np.int64), pivots
-
-
-def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """GF(2) elimination on rows packed into uint64 words."""
-    m, n = a.shape
-    packed = np.packbits((a % 2).astype(np.uint8), axis=1)
-    words = np.zeros((m, (n + 63) // 64 * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    rows = words.view(np.uint64)
-    row = 0
-    pivots: list[int] = []
-    for col in range(n):
-        if row == m:
-            break
-        # packbits is big-endian within each byte.
-        byte_index = col // 8
-        byte_bit = np.uint8(0x80 >> (col % 8))
-        column = words[:, byte_index] & byte_bit
-        nz = np.nonzero(column[row:])[0]
-        if nz.size == 0:
-            continue
-        pivot = row + int(nz[0])
-        if pivot != row:
-            rows[[row, pivot]] = rows[[pivot, row]]
-            column[[row, pivot]] = column[[pivot, row]]
-        hits = np.nonzero(column)[0]
-        hits = hits[hits != row]
-        if hits.size:
-            rows[hits] ^= rows[row]
-        pivots.append(col)
-        row += 1
-    unpacked = np.unpackbits(words[:row].view(np.uint8), axis=1)[:, :n]
-    return unpacked.astype(np.int64), pivots
 
 
 def nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import LamplighterError, UnsupportedRingError
 from .groupring import (CodedElements, GroupRing, GroupRingElement, check_matrix_cells,
-                        element_codes, left_mul_matrix, left_mul_rows)
+                        element_codes, left_mul_rows)
 from .linalg import first_dependency, nullspace_mod_p, working_dtype
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
 
@@ -63,8 +63,10 @@ class Window:
 class OreSystem:
     """The linear system M * (coords sigma, coords alpha) = 0 on a window.
 
-    Rows are indexed by the extended window (the union of the supports of
-    (1 - a) * g and (1 - x) * g over window elements g); the left column
+    Rows are indexed by the extended window (the distinct g, a * g and
+    x * g over window elements g), in code order (see
+    :func:`~lamplighter.groupring.element_codes`): the kernel and the
+    extended window's size do not depend on row order.  The left column
     block is multiplication by 1 - a, the right block the negative of
     multiplication by 1 - x.
     """
@@ -102,25 +104,28 @@ def _ore_pair(algebra: GroupRing) -> tuple[GroupRingElement, GroupRingElement]:
             algebra.one - algebra.monomial(group.generator_x(1)))
 
 
-def _product_support(factors: tuple[GroupRingElement, ...],
-                     domain: CodedElements) -> tuple[WreathElement, ...]:
-    """Sorted union of the supports of f * g, f in factors, g in domain."""
-    products = domain.left_translates(list(dict.fromkeys(h for f in factors for h in f.terms)))
-    _, first = np.unique(element_codes(products)[0], return_index=True)
-    return tuple(sorted(products.take(first).decode(), key=WreathElement.sort_key))
-
-
 def build_system(algebra: GroupRing, window: Window, cap: int = DEFAULT_CAP) -> OreSystem:
-    """Set up the window-bounded equation (1 - a) sigma = (1 - x) alpha."""
-    _field_modulus(algebra)     # rejects coefficients outside GF(p) before enumerating
-    basis = window.elements(algebra.group, cap)
-    coded = CodedElements.encode(algebra.group, basis)
-    one_minus_a, one_minus_x = _ore_pair(algebra)
-    extended = _product_support((one_minus_a, one_minus_x), coded)
-    check_matrix_cells(len(extended), 2 * len(basis))
-    matrix = np.hstack([left_mul_matrix(one_minus_a, coded, extended),
-                        left_mul_matrix(-one_minus_x, coded, extended)])
-    return OreSystem(algebra, window, tuple(basis), extended, matrix)
+    """Set up the window-bounded equation (1 - a) sigma = (1 - x) alpha.
+
+    One translate pass forms every g, a * g and x * g; their distinct codes
+    are the rows.  Column j of the left block holds 1 at g_j and -1 at
+    a * g_j, column j of the right block -1 at g_j and 1 at x * g_j.
+    """
+    p = _field_modulus(algebra)     # rejects coefficients outside GF(p) before enumerating
+    group = algebra.group
+    basis = window.elements(group, cap)
+    products = CodedElements.encode(group, basis).left_translates(
+        [group.identity, group.generator_a(0), group.generator_x(1)])
+    _, first, rows = np.unique(element_codes(products), return_index=True,
+                               return_inverse=True)
+    n = len(basis)
+    check_matrix_cells(len(first), 2 * n)
+    matrix = np.zeros((len(first), 2 * n), dtype=working_dtype(p))
+    g, ag, xg = rows.reshape(3, n)
+    left, right = np.arange(n), np.arange(n, 2 * n)
+    matrix[g, left] = matrix[xg, right] = 1
+    matrix[ag, left] = matrix[g, right] = p - 1
+    return OreSystem(algebra, window, tuple(basis), tuple(products.take(first).decode()), matrix)
 
 
 def nullspace(system: OreSystem) -> list[np.ndarray]:
@@ -231,6 +236,12 @@ def run_search(algebra: GroupRing, window: Window,
     if annihilator_window is None:
         annihilator_window = window.widened(lamps=1)
     system = build_system(algebra, window, cap)
+    # Every sigma's matrix has at least one row per search-window element,
+    # and the kernel always holds sigma = 1 + a + ... + a^(d-1), so if an
+    # n x n matrix is over the cell bound every search would be refused:
+    # refuse before eliminating.
+    n = len(_coded_window(algebra.group, annihilator_window, cap)[0])
+    check_matrix_cells(n, n)
     vectors = nullspace(system)
     one_minus_a, one_minus_x = _ore_pair(algebra)
     records = []

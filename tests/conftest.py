@@ -1,5 +1,6 @@
-"""Shared test helpers: independent oracles, random-value generators and a
-time limit for calls that used to hang.
+"""Shared test helpers: independent oracles, random-value generators, a
+check of left-multiplication matrices against exact products and a time
+limit for calls that used to hang.
 
 The oracles here deliberately avoid the code paths they check:
 
@@ -15,7 +16,9 @@ from __future__ import annotations
 import contextlib
 import signal
 
-from lamplighter.groupring import GroupRing, GroupRingElement
+import numpy as np
+
+from lamplighter.groupring import GroupRing, GroupRingElement, left_mul_matrix, left_mul_rows
 from lamplighter.wreath import WreathElement, WreathGroup
 
 
@@ -50,6 +53,26 @@ def convolve(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
             k = g * h
             acc[k] = acc.get(k, 0) + c * e
     return u.algebra.element(acc.items())
+
+
+def left_mul_labels(alpha: GroupRingElement, domain) -> tuple[np.ndarray, list]:
+    """The matrix of g -> alpha * g and the product each of its rows stands
+    for, checked against exact products: ``left_mul_rows`` gives h_k * g_j
+    and h_k' * g_j' the same row exactly when they are equal, and
+    ``left_mul_matrix`` holds c_k at [rows[k, j], j] and zero elsewhere."""
+    rows, height = left_mul_rows(alpha, domain)
+    labels: dict[int, WreathElement] = {}
+    for k, h in enumerate(alpha.terms):
+        for j, g in enumerate(domain):
+            assert labels.setdefault(int(rows[k, j]), act_mul(h, g)) == act_mul(h, g)
+    assert sorted(labels) == list(range(height))
+    assert len(set(labels.values())) == height
+    mat = left_mul_matrix(alpha, domain)
+    expected = np.zeros_like(mat)
+    for k, c in enumerate(alpha.terms.values()):
+        expected[rows[k], np.arange(len(domain))] = c
+    assert np.array_equal(mat, expected)
+    return mat, [labels[r] for r in range(height)]
 
 
 def divide_by_one_minus_x(rho: GroupRingElement) -> GroupRingElement | None:

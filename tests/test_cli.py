@@ -88,7 +88,7 @@ def test_ore_search_refuses_primes_past_int64_elimination(capsys):
     assert (code, out) == (4, "")
     assert err == ("invalid configuration: --mod must be at most 3037000500 for elimination, "
                    "got 3037000507\n")
-    # Checked before primality, which is trial division past 3.3e24 (2^89 - 1 is prime).
+    # Checked before primality, which refuses a probable prime past 3.3e24 (2^89 - 1 is prime).
     code, _, err = run_cli(capsys, "ore-search", "--mod", str(2 ** 89 - 1))
     assert (code, err) == (4, "invalid configuration: --mod must be at most 3037000500 for "
                               f"elimination, got {2 ** 89 - 1}\n")
@@ -197,8 +197,8 @@ def test_out_to_an_unwritable_path_is_config_error(tmp_path, capsys):
 
 
 def test_huge_modulus_is_not_tested_for_primality(capsys):
-    # is_prime(2^127 - 1) ends in trial division: mul never asks whether the
-    # ring is a field, and reduce-b2 refuses the modulus before testing it.
+    # is_prime cannot prove 2^127 - 1 prime: mul never asks whether the ring
+    # is a field, and reduce-b2 refuses the modulus before testing it.
     m = str(2 ** 127 - 1)
     with time_limit(0.9):
         assert run_cli(capsys, "mul", "--mod", m, "e", "e") == (0, "1\n", "")

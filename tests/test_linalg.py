@@ -167,7 +167,8 @@ def test_primes_past_the_int64_bound_are_refused(p):
 
 
 def test_huge_prime_is_refused_before_the_primality_test():
-    # is_prime(2^127 - 1) ends in trial division; the int64 bound refuses first.
+    # is_prime refuses 2^127 - 1, a probable prime past its exact bound, with
+    # another message; the int64 bound refuses first.
     for call in (nullspace_mod_p, first_kernel_vector):
         with time_limit(0.9), pytest.raises(UnsupportedRingError, match="overflow int64"):
             call(np.eye(2, dtype=np.int64), 2 ** 127 - 1)

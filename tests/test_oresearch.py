@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import time_limit
+from conftest import left_mul_labels, time_limit
+from lamplighter import oresearch
 from lamplighter.certificates import RelatorCoefficients, certify
 from lamplighter.errors import LimitExceededError, UnsupportedRingError
-from lamplighter.groupring import GroupRing, left_mul_matrix
+from lamplighter.groupring import CodedElements, GroupRing, element_codes, left_mul_matrix
 from lamplighter.linalg import nullspace_mod_p
 from lamplighter.oresearch import (Window, _combination, annihilator_search, build_system,
                                    check_solution, nullspace, run_search)
@@ -175,7 +176,8 @@ def test_annihilator_search_stays_below_the_dense_matrix(window):
 
 
 def test_huge_modulus_is_refused_before_the_primality_test():
-    # is_prime(2^127 - 1) ends in trial division; the int64 bound refuses first.
+    # is_prime refuses 2^127 - 1, a probable prime past its exact bound, with
+    # another message; the int64 bound refuses first.
     algebra = GroupRing(ScalarRing(2 ** 127 - 1), G2)
     sigma = algebra.one + algebra.monomial(G2.generator_a(0))
     for call in (lambda: left_mul_matrix(sigma, [G2.identity]),
@@ -205,9 +207,7 @@ def test_annihilator_search_covers_certificate_witnesses():
     # gamma itself is one of the solutions of the annihilator system
     domain = win.elements(G2)
     coords = np.array([cert.gamma.terms.get(g, 0) for g in domain])
-    support = sorted({h * g for g in domain for h in cert.u.terms},
-                     key=WreathElement.sort_key)
-    mat = left_mul_matrix(cert.u, domain, support)
+    mat, _ = left_mul_labels(cert.u, domain)
     assert not ((mat @ coords) % 2).any()
 
 
@@ -270,19 +270,22 @@ def test_cap_propagates():
 
 
 def test_left_mul_matrix_consistency_with_solver():
-    # matrix route and exact convolution agree on random window elements
+    # matrix route and exact convolution agree on random window elements,
+    # in both blocks; over GF(3) the entries -1 = 2 differ from the 1s
     rng = random.Random(97)
-    system = build_system(F2G2, Window(1, 1))
-    lhs = one_minus_a(F2G2)
-    for _ in range(30):
-        coeffs = [rng.randrange(2) for _ in system.basis]
-        beta = F2G2.element(list(zip(system.basis, coeffs)))
-        image = lhs * beta
+    for algebra in (F2G2, F3G2, F3G3):
+        p = algebra.ring.modulus
+        system = build_system(algebra, Window(1, 1))
         w = len(system.basis)
-        column = (system.matrix[:, :w] @ np.array(coeffs)) % 2
-        reconstructed = F2G2.element(
-            [(g, int(column[i])) for i, g in enumerate(system.extended)])
-        assert reconstructed == image
+        for block, factor in ((slice(None, w), one_minus_a(algebra)),
+                              (slice(w, None), -one_minus_x(algebra))):
+            for _ in range(30):
+                coeffs = [rng.randrange(p) for _ in system.basis]
+                image = factor * algebra.element(list(zip(system.basis, coeffs)))
+                column = (system.matrix[:, block].astype(np.int64) @ np.array(coeffs)) % p
+                reconstructed = algebra.element(
+                    [(g, int(column[i])) for i, g in enumerate(system.extended)])
+                assert reconstructed == image
 
 
 # sha256 of json.dumps(run_search(...).to_json(), sort_keys=True), with the
@@ -314,18 +317,15 @@ def test_left_mul_matrix_on_long_shift_windows(algebra, window):
     shifts = [-bound, bound] + rng.sample(range(1 - bound, bound), 2)
     alpha = algebra.element([(group.element({0: rng.randrange(1, group.d)}, n), 1 + n % (p - 1))
                              for n in shifts])
-    codomain = sorted({h * g for g in domain for h in alpha.terms}, key=WreathElement.sort_key)
-    assert max(abs(pos) for g in codomain for pos, _ in g.lamps) == bound
-    mat = left_mul_matrix(alpha, domain, codomain)
+    products = CodedElements.encode(group, domain).left_translates(list(alpha.terms))
+    assert element_codes(products).dtype.kind == "V"        # codes of several words
+    mat, labels = left_mul_labels(alpha, domain)
+    assert max(abs(pos) for g in labels for pos, _ in g.lamps) == bound
     for _ in range(20):
         coeffs = [rng.randrange(p) for _ in domain]
         image = alpha * algebra.element(list(zip(domain, coeffs)))
         column = (mat.astype(np.int64) @ np.array(coeffs)) % p
-        assert algebra.element([(g, int(c)) for g, c in zip(codomain, column)]) == image
-    # Without a codomain the rows come in code order: the same rows permuted.
-    coded = left_mul_matrix(alpha, domain)
-    assert sorted(map(tuple, coded.tolist())) == sorted(map(tuple, mat.tolist()))
-    assert np.array_equal(nullspace_mod_p(coded, p), nullspace_mod_p(mat, p))
+        assert algebra.element([(g, int(c)) for g, c in zip(labels, column)]) == image
 
 
 def test_dense_matrices_are_bounded_before_allocation():
@@ -343,3 +343,16 @@ def test_dense_matrices_are_bounded_before_allocation():
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+
+def test_searches_over_the_cell_bound_are_refused_before_elimination(monkeypatch):
+    # Window (4,3): the 5632 x 7168 system passes the cell bound, but the
+    # search window (5,3) has 14,336 elements, so every sigma's matrix has
+    # at least 14,336^2 cells and each search would be refused.  The run
+    # stops before the kernel is computed.
+    def eliminate(system):
+        raise AssertionError("the kernel was computed")
+
+    monkeypatch.setattr(oresearch, "nullspace", eliminate)
+    with pytest.raises(LimitExceededError, match="14336 x 14336"):
+        run_search(F2G2, Window(4, 3))

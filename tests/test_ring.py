@@ -4,8 +4,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from lamplighter.errors import NotInvertibleError, RingMismatchError
-from lamplighter.ring import INTEGERS, ScalarRing, _pocklington, is_prime
+from lamplighter.errors import NotInvertibleError, RingMismatchError, UnsupportedRingError
+from lamplighter.ring import INTEGERS, ScalarRing, is_prime
 
 GF2 = ScalarRing(2)
 GF3 = ScalarRing(3)
@@ -161,19 +161,16 @@ def test_is_prime_rejects_pseudoprimes(n):
 
 @pytest.mark.parametrize("n", [2 ** 31 - 1, 3037000493, 2 ** 61 - 1, 10 ** 18 + 9,
                                3317044064679887385961813,
-                               2 ** 89 - 1, 28 * 2 ** 90 + 1])     # past the bound: proved
+                               2 ** 89 - 1, 28 * 2 ** 90 + 1])     # past the bound: refused
 def test_is_prime_accepts_large_primes_quickly(n):
     start = time.perf_counter()
-    assert is_prime(n)
-    assert ScalarRing(n).is_field
+    if n < 3317044064679887385961981:
+        assert is_prime(n)
+        assert ScalarRing(n).is_field
+    else:
+        # Miller-Rabin is not a proof past its bound: the prime is refused.
+        with pytest.raises(UnsupportedRingError, match="cannot prove"):
+            is_prime(n)
+        with pytest.raises(UnsupportedRingError, match="cannot prove"):
+            ScalarRing(n).is_field
     assert time.perf_counter() - start < 0.1
-
-
-def test_pocklington_proves_primes_and_refuses_composites():
-    # Carmichael numbers pass the Fermat condition for every base prime to
-    # them; the gcd condition must still refuse them.
-    assert not any(_pocklington(n) for n in CARMICHAEL + [2047, 3215031751, 9, 15, 4095])
-    assert all(_pocklington(n) for n in [3, 5, 43, 65537, 2 ** 31 - 1, 2 ** 89 - 1])
-    # The part of 2^127 - 2 made of primes below 2^16 is about 3.7e16, below
-    # the square root of 2^127 - 1, so no proof is found.
-    assert not _pocklington(2 ** 127 - 1)
