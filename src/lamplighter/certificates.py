@@ -78,13 +78,17 @@ class RelatorCoefficients:
         return cls([algebra.from_json(item) for item in data])
 
 
-def zerodivisor_from_coefficients(z: RelatorCoefficients) -> GroupRingElement:
-    """Assemble u from z_0..z_N by the displayed formula, term by term."""
+def zerodivisor_from_coefficients(z: RelatorCoefficients,
+                                  cap: int = DEFAULT_CAP) -> GroupRingElement:
+    """Assemble u from z_0..z_N by the displayed formula, term by term.  The
+    powers 1, a, ..., a^(d-1) come from the lamp enumerator, and only for
+    z_0 != 0, so ``cap`` refuses d > cap before any of them is built."""
     algebra = z.algebra
     group = algebra.group
     a = algebra.monomial(group.generator_a(0))
     one = algebra.one
-    u = z[0] * algebra.geometric_a(group.d)
+    powers = lamp_configurations(group, [0], (0,), cap) if z[0] else []
+    u = z[0] * algebra.element([(b, 1) for b in powers])
     for n in range(1, len(z)):
         xn = algebra.monomial(group.generator_x(n))
         xmn = algebra.monomial(group.generator_x(-n))
@@ -157,19 +161,17 @@ class Certificate:
     def from_json(cls, data: dict) -> "Certificate":
         """Load the stored fields and re-verify them from z alone.
 
-        u is rebuilt from z, gamma from the depth of z (which N must
-        equal), and u * gamma is recomputed; ``verified`` holds only if
-        the stored u, gamma and product equal those.  The stored
+        ``verified`` holds only if N is the depth of z and the stored u,
+        gamma and product equal those of ``certify(z)``.  The stored
         ``verified`` flag is never read.
         """
         algebra = GroupRing(ScalarRing(int(data["k"])), WreathGroup(int(data["d"])))
         z = RelatorCoefficients.from_json(data["z"], algebra)
         cert = cls(z, algebra.from_json(data["u"]), algebra.from_json(data["gamma"]),
                    algebra.from_json(data["product"]))
-        u = zerodivisor_from_coefficients(z)
-        gamma = right_annihilator(z.depth, algebra)
+        ref = certify(z)
         if int(data["N"]) != z.depth or \
-                (cert.u, cert.gamma, cert.product) != (u, gamma, u * gamma):
+                (cert.u, cert.gamma, cert.product) != (ref.u, ref.gamma, ref.product):
             object.__setattr__(cert, "verified", False)
         return cert
 
@@ -179,7 +181,7 @@ class Certificate:
 
 def certify(z: RelatorCoefficients, cap: int = DEFAULT_CAP) -> Certificate:
     """Build u and gamma from z and verify u * gamma = 0 by convolution."""
-    u = zerodivisor_from_coefficients(z)
+    u = zerodivisor_from_coefficients(z, cap)
     gamma = right_annihilator(z.depth, z.algebra, cap)
     return Certificate(z, u, gamma, u * gamma)
 

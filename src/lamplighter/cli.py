@@ -65,8 +65,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="shift bound of the search window")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
                      help="enumeration cap on the window elements of ore-search, the "
-                          "lamp subgroup behind a certificate's gamma and the subgroup "
-                          "closure of annihilate")
+                          "powers of a in a certificate's u and the lamp subgroup behind "
+                          "its gamma, and the subgroup closure of annihilate")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the randomized selftest checks")
     sub.add_argument("--format", choices=("text", "json"), default="text",

@@ -25,8 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import LimitExceededError, RingMismatchError, UnsupportedRingError
-from .linalg import working_dtype
+from .errors import LimitExceededError, RingMismatchError
+from .linalg import field_dtype
 from .ring import Scalar, ScalarRing
 from .wreath import WreathElement, WreathGroup
 
@@ -37,6 +37,21 @@ def _coeff_value(ring: ScalarRing, c) -> int:
             raise RingMismatchError(f"coefficient ring {c.ring!r} does not match {ring!r}")
         return c.value
     return ring.canon(int(c))
+
+
+def _signed_sum(ring: ScalarRing, terms: Sequence[tuple[str, int]]) -> str:
+    """Print the sum of c * m over (monomial text m, coefficient c) pairs in
+    print order: the empty text (the unit monomial) prints as the bare
+    coefficient, a coefficient 1 is left out, and over the integers a
+    negative one is printed by magnitude after a minus sign."""
+    parts = []
+    for text, c in terms:
+        neg = ring.modulus == 0 and c < 0
+        mag = -c if neg else c
+        body = str(mag) if not text else text if mag == 1 else f"{mag}*{text}"
+        sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 class GroupRing:
@@ -261,25 +276,8 @@ class GroupRingElement:
                 for g in self.support()]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        signed = self.ring.modulus == 0
-        parts = []
-        for g in self.support():
-            c = self.terms[g]
-            neg = signed and c < 0
-            mag = -c if neg else c
-            if g.is_identity():
-                text = str(mag)
-            elif mag == 1:
-                text = str(g)
-            else:
-                text = f"{mag}*{g}"
-            if not parts:
-                parts.append(("-" if neg else "") + text)
-            else:
-                parts.append(("- " if neg else "+ ") + text)
-        return " ".join(parts)
+        return _signed_sum(self.ring, [("" if g.is_identity() else str(g), self.terms[g])
+                                       for g in self.support()])
 
     def __repr__(self) -> str:
         return f"<GroupRingElement {self} over {self.ring!r}, d={self.group.d}>"
@@ -341,23 +339,8 @@ class LaurentElement:
         return LaurentElement(self.ring, {n: canon(c) for n, c in acc.items() if canon(c)})
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n]
-            neg = self.ring.modulus == 0 and c < 0
-            mag = -c if neg else c
-            if n == 0:
-                text = str(mag)
-            else:
-                xs = "x" if n == 1 else f"x^{n}"
-                text = xs if mag == 1 else f"{mag}*{xs}"
-            if not parts:
-                parts.append(("-" if neg else "") + text)
-            else:
-                parts.append(("- " if neg else "+ ") + text)
-        return " ".join(parts)
+        return _signed_sum(self.ring, [("" if n == 0 else "x" if n == 1 else f"x^{n}",
+                                        self.coeffs[n]) for n in sorted(self.coeffs)])
 
     def __repr__(self) -> str:
         return f"<LaurentElement {self} over {self.ring!r}>"
@@ -589,10 +572,7 @@ def left_mul_matrix(alpha: GroupRingElement,
     rows as in :func:`left_mul_rows`.  Entries are canonical
     representatives of the coefficient field.
     """
-    ring = alpha.ring
-    dtype = working_dtype(ring.modulus)       # refuses a huge modulus before is_field
-    if not ring.is_field:
-        raise UnsupportedRingError(f"left_mul_matrix needs field coefficients, got {ring!r}")
+    dtype = field_dtype(alpha.ring.modulus)
     rows, height = left_mul_rows(alpha, domain)
     mat = np.zeros((height, rows.shape[1]), dtype=dtype)
     mat[rows, np.arange(rows.shape[1])] = np.array(list(alpha.terms.values()),

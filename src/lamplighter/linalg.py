@@ -7,7 +7,10 @@ returned here is canonical: independent of row order, duplicated rows,
 or any internal chunking.
 
 Matrices are numpy integer arrays holding canonical representatives in
-[0, p); one elimination loop serves every p.  The first kernel vector
+[0, p); one elimination loop serves every p.  :func:`field_dtype` is the
+package's one GF(p) guard: everything that eliminates, and everything
+that builds a matrix for it, calls it before enumerating or allocating
+anything.  The first kernel vector
 alone comes from a one-pass sparse elimination of the columns
 (:func:`first_dependency`), which never builds the matrix.
 """
@@ -34,9 +37,11 @@ def working_dtype(p: int):
     return np.int16 if (p - 1) * (p - 1) + p <= np.iinfo(np.int16).max else np.int64
 
 
-def _field_dtype(p: int):
-    """``working_dtype(p)`` for a prime p; the int64 bound is checked first,
-    so a huge p is refused before the primality test."""
+def field_dtype(p: int):
+    """``working_dtype(p)`` for a prime p, the package's one check that
+    coefficients form a GF(p) this module can eliminate over: the int64
+    bound is checked first, so a huge p is refused before the primality
+    test.  The integers (p = 0) and composite moduli are refused too."""
     dtype = working_dtype(p)
     if not is_prime(p):
         raise UnsupportedRingError(f"linear algebra needs a prime modulus, got {p}")
@@ -48,7 +53,7 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns (R, pivot_columns) where R holds only the nonzero rows.
     """
-    dtype = _field_dtype(p)
+    dtype = field_dtype(p)
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("need a 2-d matrix")
@@ -110,7 +115,7 @@ def first_dependency(columns: Iterable[Mapping[int, int]], p: int) -> dict[int, 
     ``nullspace_mod_p(matrix, p)[0]`` whatever the order.  Later columns are
     never read.
     """
-    _field_dtype(p)       # the refusals of rref_mod_p
+    field_dtype(p)       # the refusals of rref_mod_p
     basis: dict[int, dict[int, int]] = {}
     for j, column in enumerate(columns):
         vector = {r: c % p for r, c in column.items() if c % p}

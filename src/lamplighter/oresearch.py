@@ -27,10 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LamplighterError, UnsupportedRingError
+from .errors import LamplighterError
 from .groupring import (CodedElements, GroupRing, GroupRingElement, check_matrix_cells,
                         element_codes, left_mul_rows)
-from .linalg import first_dependency, nullspace_mod_p, working_dtype
+from .linalg import field_dtype, first_dependency, nullspace_mod_p
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
 
 
@@ -89,14 +89,6 @@ def _combination(algebra: GroupRing, elements, vector) -> GroupRingElement:
     return algebra.element([(elements[j], int(vector[j])) for j in np.flatnonzero(vector)])
 
 
-def _field_modulus(algebra: GroupRing) -> int:
-    working_dtype(algebra.ring.modulus)     # refuses a huge modulus before is_field
-    if not algebra.ring.is_field:
-        raise UnsupportedRingError(
-            f"the window solver needs GF(p) coefficients, got {algebra.ring!r}")
-    return algebra.ring.modulus
-
-
 def _ore_pair(algebra: GroupRing) -> tuple[GroupRingElement, GroupRingElement]:
     """The elements 1 - a and 1 - x of the Ore equation."""
     group = algebra.group
@@ -111,7 +103,8 @@ def build_system(algebra: GroupRing, window: Window, cap: int = DEFAULT_CAP) -> 
     are the rows.  Column j of the left block holds 1 at g_j and -1 at
     a * g_j, column j of the right block -1 at g_j and 1 at x * g_j.
     """
-    p = _field_modulus(algebra)     # rejects coefficients outside GF(p) before enumerating
+    p = algebra.ring.modulus
+    dtype = field_dtype(p)      # refuses coefficients outside GF(p) before enumerating
     group = algebra.group
     basis = window.elements(group, cap)
     products = CodedElements.encode(group, basis).left_translates(
@@ -120,7 +113,7 @@ def build_system(algebra: GroupRing, window: Window, cap: int = DEFAULT_CAP) -> 
                                return_inverse=True)
     n = len(basis)
     check_matrix_cells(len(first), 2 * n)
-    matrix = np.zeros((len(first), 2 * n), dtype=working_dtype(p))
+    matrix = np.zeros((len(first), 2 * n), dtype=dtype)
     g, ag, xg = rows.reshape(3, n)
     left, right = np.arange(n), np.arange(n, 2 * n)
     matrix[g, left] = matrix[xg, right] = 1
@@ -130,15 +123,17 @@ def build_system(algebra: GroupRing, window: Window, cap: int = DEFAULT_CAP) -> 
 
 def nullspace(system: OreSystem) -> list[np.ndarray]:
     """Canonical kernel basis of the system (see linalg.nullspace_mod_p)."""
-    p = _field_modulus(system.algebra)
-    return list(nullspace_mod_p(system.matrix, p))
+    return list(nullspace_mod_p(system.matrix, system.algebra.ring.modulus))
 
 
 @lru_cache(maxsize=8)
 def _coded_window(group: WreathGroup, window: Window,
                   cap: int) -> tuple[tuple[WreathElement, ...], CodedElements]:
-    """The window's elements and their codes, built once for all searches."""
+    """The window's elements and their codes, built once for all searches.
+    Every sigma's matrix has a row per element at least, so a window whose
+    n x n matrix is over the cell bound is refused before it is encoded."""
     elements = tuple(window.elements(group, cap))
+    check_matrix_cells(len(elements), len(elements))
     coded = CodedElements.encode(group, elements)
     coded.shifts.flags.writeable = coded.digits.flags.writeable = False   # shared
     return elements, coded
@@ -153,11 +148,14 @@ def annihilator_search(sigma: GroupRingElement, search_window: Window,
     witness is the first vector of the canonical kernel basis of the
     matrix of g -> sigma * g (see linalg.first_dependency), found without
     building the matrix; its rows stay in code order, which the kernel
-    does not depend on.
+    does not depend on.  Coefficients outside GF(p) (see
+    linalg.field_dtype) and a window whose n x n matrix is over the cell
+    bound are refused before any product is formed.
     """
     if sigma.is_zero():
         raise ValueError("annihilator search needs a nonzero element")
-    p = _field_modulus(sigma.algebra)
+    p = sigma.ring.modulus
+    field_dtype(p)
     domain, coded = _coded_window(sigma.group, search_window, cap)
     rows, _ = left_mul_rows(sigma, coded)
     coeffs = list(sigma.terms.values())
@@ -231,17 +229,13 @@ def run_search(algebra: GroupRing, window: Window,
     defining equation with exact group-ring arithmetic before being
     trusted; a failure there would be an internal error, not a report.
     """
-    p = _field_modulus(algebra)
-    d = algebra.group.d
+    p, d = algebra.ring.modulus, algebra.group.d
     if annihilator_window is None:
         annihilator_window = window.widened(lamps=1)
     system = build_system(algebra, window, cap)
-    # Every sigma's matrix has at least one row per search-window element,
-    # and the kernel always holds sigma = 1 + a + ... + a^(d-1), so if an
-    # n x n matrix is over the cell bound every search would be refused:
-    # refuse before eliminating.
-    n = len(_coded_window(algebra.group, annihilator_window, cap)[0])
-    check_matrix_cells(n, n)
+    # The kernel always holds sigma = 1 + a + ... + a^(d-1), so a search
+    # window that every search would refuse is refused before eliminating.
+    _coded_window(algebra.group, annihilator_window, cap)
     vectors = nullspace(system)
     one_minus_a, one_minus_x = _ore_pair(algebra)
     records = []

@@ -148,6 +148,19 @@ def test_annihilate_cap_bounds_a_huge_lamp_order(capsys):
     assert err == "limit exceeded: subgroup closure exceeds the cap 5\n"
 
 
+def test_certify_cap_bounds_the_powers_of_a_in_u(capsys):
+    # u starts with z_0 (1 + a + ... + a^(d-1)): its d terms are counted
+    # against the cap before any is built, and only when z_0 != 0.
+    with time_limit(0.9):
+        code, out, err = run_cli(capsys, "certify", "--d", str(10 ** 12), "--z", "1")
+        assert (code, out) == (3, "")
+        assert err == ("limit exceeded: enumeration of 1000000000000 elements "
+                       "exceeds the cap 1000000\n")
+        assert run_cli(capsys, "certify", "--d", str(10 ** 12), "--z", "0")[0] == 0
+        assert run_cli(capsys, "certify", "--d", "5", "--cap", "4", "--z", "1")[0] == 3
+        assert run_cli(capsys, "certify", "--d", "5", "--cap", "5", "--z", "1")[0] == 0
+
+
 def test_invalid_config_exit_code(capsys):
     code, _, _ = run_cli(capsys, "mul", "--d", "1", "e", "e")
     assert code == 4

@@ -356,3 +356,31 @@ def test_searches_over_the_cell_bound_are_refused_before_elimination(monkeypatch
     monkeypatch.setattr(oresearch, "nullspace", eliminate)
     with pytest.raises(LimitExceededError, match="14336 x 14336"):
         run_search(F2G2, Window(4, 3))
+
+
+@pytest.mark.parametrize("ring", [ScalarRing(4), INTEGERS])
+def test_coefficients_outside_gf_p_are_refused_before_encoding(ring, monkeypatch):
+    def encode(*args):
+        raise AssertionError("elements were encoded")
+
+    monkeypatch.setattr(CodedElements, "encode", encode)
+    algebra = GroupRing(ring, G2)
+    sigma = algebra.one + algebra.monomial(G2.generator_a(0))
+    for call in (lambda: build_system(algebra, Window(0, 0)),
+                 lambda: run_search(algebra, Window(0, 0)),
+                 lambda: annihilator_search(sigma, Window(0, 0)),
+                 lambda: left_mul_matrix(sigma, [G2.identity])):
+        with pytest.raises(UnsupportedRingError):
+            call()
+
+
+def test_an_oversized_search_window_is_refused_before_any_product(monkeypatch):
+    # Window (5,4) has 18,432 elements, so every sigma's matrix has at least
+    # 18,432^2 cells: refused before the window is translated by sigma.
+    def left_translates(*args):
+        raise AssertionError("products were formed")
+
+    monkeypatch.setattr(CodedElements, "left_translates", left_translates)
+    sigma = F2G2.one + F2G2.monomial(G2.generator_a(0))
+    with pytest.raises(LimitExceededError, match="18432 x 18432"):
+        annihilator_search(sigma, Window(5, 4))
