@@ -66,7 +66,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
                      help="enumeration cap on the window elements of ore-search, the "
                           "powers of a in a certificate's u and the lamp subgroup behind "
-                          "its gamma, and the subgroup closure of annihilate")
+                          "its gamma, the subgroup closure of annihilate, and the "
+                          "letters of the words of fox and relator")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the randomized selftest checks")
     sub.add_argument("--format", choices=("text", "json"), default="text",
@@ -189,7 +190,7 @@ def _cmd_fox(args) -> int:
     algebra = _validate(args)
     if args.symbol not in foxwords.GENERATOR_SYMBOLS:
         raise ConfigError(f"symbol must be 'a' or 'x', got {args.symbol!r}")
-    derivative = foxwords.fox_derivative(foxwords.parse_word(args.word),
+    derivative = foxwords.fox_derivative(foxwords.parse_word(args.word, args.cap),
                                          args.symbol, algebra)
     _emit(args, _dump(derivative.to_json()) if args.format == "json" else str(derivative))
     return EXIT_OK
@@ -199,7 +200,7 @@ def _cmd_relator(args) -> int:
     _validate(args)
     if args.index < 0:
         raise ConfigError(f"relator index must be >= 0, got {args.index}")
-    word = foxwords.relator_word(args.d, args.index)
+    word = foxwords.relator_word(args.d, args.index, args.cap)
     payload = {"d": args.d, "index": args.index, "word": str(word)}
     _emit(args, _dump(payload) if args.format == "json" else str(word))
     return EXIT_OK

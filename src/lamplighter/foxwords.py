@@ -28,7 +28,7 @@ from functools import lru_cache
 from .errors import RingMismatchError
 from .groupring import GroupRing, GroupRingElement
 from .parsing import Letters, parse_word_letters, word_to_text
-from .wreath import WreathElement, WreathGroup
+from .wreath import DEFAULT_CAP, WreathElement, WreathGroup
 
 GENERATOR_SYMBOLS = ("a", "x")
 
@@ -66,10 +66,6 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((s, -e) for s, e in reversed(self.letters)))
 
-    def __pow__(self, k: int) -> "FreeWord":
-        base = self if k >= 0 else self.inverse()
-        return FreeWord(base.letters * abs(k))
-
     def reduce(self) -> "FreeWord":
         """Freely reduced form: no adjacent s^+1 s^-1 pairs remain."""
         stack: list[tuple[str, int]] = []
@@ -87,9 +83,9 @@ class FreeWord:
         return f"FreeWord({self})"
 
 
-def parse_word(text: str) -> FreeWord:
+def parse_word(text: str, cap: int = DEFAULT_CAP) -> FreeWord:
     """Parse the word grammar; see :mod:`lamplighter.parsing`."""
-    return FreeWord(parse_word_letters(text))
+    return FreeWord(parse_word_letters(text, cap))
 
 
 def _letter_images(group: WreathGroup) -> dict[tuple[str, int], WreathElement]:
@@ -133,14 +129,10 @@ def fox_derivative(word: FreeWord, symbol: str, algebra: GroupRing) -> GroupRing
     return algebra.element(acc.items())
 
 
-def relator_word(d: int, l: int) -> FreeWord:
-    """r_0 = a^d; r_l = [a, x^l a x^-l] spelled out letter by letter."""
-    if l == 0:
-        return FreeWord((("a", 1),) * d)
-    xs = (("x", 1),) * l
-    xsi = (("x", -1),) * l
-    return FreeWord((("a", 1),) + xs + (("a", 1),) + xsi
-                    + (("a", -1),) + xs + (("a", -1),) + xsi)
+def relator_word(d: int, l: int, cap: int = DEFAULT_CAP) -> FreeWord:
+    """r_0 = a^d; r_l = [a, x^l a x^-l] spelled out letter by letter by the
+    word parser, which refuses a word of more than ``cap`` letters first."""
+    return parse_word(f"a^{d}" if l == 0 else f"[a, x^{l} a x^-{l}]", cap)
 
 
 # One entry per (ring, relator index l, symbol): four rings with l <= 8

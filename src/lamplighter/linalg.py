@@ -1,23 +1,23 @@
 """Exact linear algebra over prime fields GF(p).
 
-Reduced row echelon form with leftmost-pivot elimination and the
-standard kernel basis built from its free columns.  The RREF of a matrix
-is unique (it depends only on the row space), so the kernel basis
-returned here is canonical: independent of row order, duplicated rows,
-or any internal chunking.
+Reduced row echelon form and the standard kernel basis built from its
+free columns.  The RREF of a matrix is unique (it depends only on the
+row space), so the kernel basis returned here is canonical: independent
+of row order, duplicated rows, or any internal chunking.
 
-Matrices are numpy integer arrays holding canonical representatives in
-[0, p); one elimination loop serves every p.  :func:`field_dtype` is the
-package's one GF(p) guard: everything that eliminates, and everything
-that builds a matrix for it, calls it before enumerating or allocating
-anything.  The first kernel vector
-alone comes from a one-pass sparse elimination of the columns
-(:func:`first_dependency`), which never builds the matrix.
+One elimination serves every p: a one-pass sparse insertion of the
+columns, in Python ints, reporting each column as independent of the
+ones before it or as its unique combination of them.  :func:`rref_mod_p`
+runs it over every column; :func:`first_dependency` stops at the first
+combination, the first kernel vector, and never builds the matrix.
+:func:`field_dtype` is the package's one GF(p) guard: the elimination
+calls it before reading a column, and everything that builds a matrix for
+it before enumerating or allocating anything.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -29,8 +29,9 @@ MAX_PRIME = 3_037_000_500      # the largest p with (p - 1)^2 + p <= 2^63 - 1
 
 
 def working_dtype(p: int):
-    """int16 when it holds entry - entry * entry for entries in [0, p), else
-    int64; refused past ``MAX_PRIME``, where int64 would overflow."""
+    """The storage dtype of the dense matrices that ``build_system`` and
+    ``left_mul_matrix`` fill: int16 when it holds (p - 1)^2 + p, else int64;
+    p past ``MAX_PRIME`` is refused."""
     if p > MAX_PRIME:
         raise UnsupportedRingError(f"elimination over GF({p}) would overflow int64; "
                                    f"the modulus must be at most {MAX_PRIME}")
@@ -48,74 +49,15 @@ def field_dtype(p: int):
     return dtype
 
 
-def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p).
-
-    Returns (R, pivot_columns) where R holds only the nonzero rows.
+def _eliminate(columns: Iterable[Mapping[int, int]], p: int) -> Iterator[dict[int, int] | None]:
+    """Per column (a map row -> entry): None if it is independent of the
+    columns before it, else its one combination of them as a kernel vector
+    {column: entry}, with entry 1 at itself.  The columns go into a sparse
+    echelon basis of Python ints keyed by each vector's largest row,
+    normalised to 1; each carries its column combination under the keys
+    ~j < 0, below every row.  p is checked before the first column is read.
     """
-    dtype = field_dtype(p)
-    a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise ValueError("need a 2-d matrix")
-    if a.size == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.int64), []
-    r = np.asarray(a % p, dtype=dtype)
-    m, n = r.shape
-    row = 0
-    pivots: list[int] = []
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = row + int(nz[0])
-        if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
-        inv = pow(int(r[row, col]), p - 2, p)
-        if inv != 1:
-            r[row, col:] = (r[row, col:] * inv) % p
-        hits = np.nonzero(r[:, col])[0]
-        hits = hits[hits != row]
-        if hits.size:
-            r[hits, col:] = (r[hits, col:] - r[hits, col, None] * r[row, col:]) % p
-        pivots.append(col)
-        row += 1
-    return r[:row].astype(np.int64), pivots
-
-
-def nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
-    """Canonical kernel basis of ``matrix`` over GF(p), one row per vector.
-
-    One basis vector per free (non-pivot) column f, ordered by f: entry f
-    is 1 and each pivot column j of row i carries -R[i, f].  Empty basis
-    for an injective matrix.
-    """
-    r, pivots = rref_mod_p(matrix, p)
-    n = np.asarray(matrix).shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    if free:
-        basis[np.arange(len(free)), free] = 1
-        if pivots:
-            basis[:, pivots] = (-r[:, free].T) % p
-    return basis
-
-
-def first_dependency(columns: Iterable[Mapping[int, int]], p: int) -> dict[int, int] | None:
-    """The first kernel vector of a matrix given column by column (each a
-    map row -> entry), as {column: entry}, or None for independent columns.
-
-    One pass inserts the columns into a sparse echelon basis keyed by each
-    vector's largest row, normalised to 1; each vector carries its column
-    combination under the keys ~j < 0, below every row.  The first column f
-    that reduces to zero is a combination of the independent columns before
-    it in exactly one way, so its combination, with entry 1 at f, is
-    ``nullspace_mod_p(matrix, p)[0]`` whatever the order.  Later columns are
-    never read.
-    """
-    field_dtype(p)       # the refusals of rref_mod_p
+    field_dtype(p)
     basis: dict[int, dict[int, int]] = {}
     for j, column in enumerate(columns):
         vector = {r: c % p for r, c in column.items() if c % p}
@@ -126,6 +68,7 @@ def first_dependency(columns: Iterable[Mapping[int, int]], p: int) -> dict[int, 
                 inverse = pow(vector[top], p - 2, p)
                 basis[top] = vector if inverse == 1 else \
                     {k: c * inverse % p for k, c in vector.items()}
+                yield None
                 break
             factor = vector[top]
             for k, c in pivot.items():
@@ -135,8 +78,58 @@ def first_dependency(columns: Iterable[Mapping[int, int]], p: int) -> dict[int, 
                 else:
                     del vector[k]
         else:
-            return {~k: c for k, c in vector.items()}
-    return None
+            yield {~k: c for k, c in vector.items()}
+
+
+def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p).
+
+    Returns (R, pivot_columns) where R holds only the nonzero rows.  The
+    pivot columns are the independent ones of the elimination pass, and a
+    dependent column f with kernel vector v has R[i, f] = -v[pivots[i]].
+    """
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise ValueError("need a 2-d matrix")
+    columns: list[dict[int, int]] = [{} for _ in range(a.shape[1])]
+    cols, rows = np.nonzero(a.T)
+    for j, i, c in zip(cols.tolist(), rows.tolist(), a.T[cols, rows].tolist()):
+        columns[j][i] = c
+    dependent = {f: v for f, v in enumerate(_eliminate(columns, p)) if v is not None}
+    pivots = [f for f in range(len(columns)) if f not in dependent]
+    row_of = {j: i for i, j in enumerate(pivots)}
+    r = np.zeros((len(pivots), len(columns)), dtype=np.int64)
+    r[np.arange(len(pivots)), pivots] = 1
+    for f, vector in dependent.items():
+        del vector[f]
+        r[[row_of[j] for j in vector], f] = [-c % p for c in vector.values()]
+    return r, pivots
+
+
+def nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
+    """Canonical kernel basis of ``matrix`` over GF(p), one row per vector.
+
+    One basis vector per free (non-pivot) column f, ordered by f: entry f
+    is 1 and each pivot column j of row i carries -R[i, f].  Empty basis
+    for an injective matrix.
+    """
+    r, pivots = rref_mod_p(matrix, p)
+    free = sorted(set(range(r.shape[1])).difference(pivots))
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -r[:, free].T % p
+    return basis
+
+
+def first_dependency(columns: Iterable[Mapping[int, int]], p: int) -> dict[int, int] | None:
+    """The first kernel vector of a matrix given column by column (each a
+    map row -> entry), as {column: entry}, or None for independent columns.
+
+    The elimination pass of :func:`rref_mod_p` stops at the first dependent
+    column, so later columns are never read; its vector is
+    ``nullspace_mod_p(matrix, p)[0]``.
+    """
+    return next((v for v in _eliminate(columns, p) if v is not None), None)
 
 
 def matrix_rank_mod_p(matrix: np.ndarray, p: int) -> int:

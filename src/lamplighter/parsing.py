@@ -12,6 +12,7 @@ Word grammar (letters of the free group on a, x):
 
 ``w^k`` expands to |k| copies of w (inverted when k < 0, empty when
 k = 0); ``[u, v]`` is the commutator u v u^-1 v^-1.  Commutators nest.
+Each expansion is counted against a letter cap before it is built.
 
 Wreath-element grammar:
 
@@ -28,9 +29,9 @@ Group-ring grammar (signed sums of coefficient-element terms):
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import LimitExceededError, ParseError
 from .groupring import GroupRing, GroupRingElement
-from .wreath import WreathElement, WreathGroup
+from .wreath import DEFAULT_CAP, WreathElement, WreathGroup
 
 _PUNCT = set("^*()[],+-")
 
@@ -109,7 +110,13 @@ def _invert_letters(letters: Letters) -> Letters:
     return tuple((s, -e) for s, e in reversed(letters))
 
 
-def _parse_word_body(t: _Tokens, closers: set[str]) -> Letters:
+def _check_word_length(letters: int, cap: int) -> None:
+    """Refuse a word of more than ``cap`` letters before it is spelled out."""
+    if letters > cap:
+        raise LimitExceededError(f"a word of {letters} letters exceeds the cap {cap}")
+
+
+def _parse_word_body(t: _Tokens, closers: set[str], cap: int) -> Letters:
     out: list[tuple[str, int]] = []
     while True:
         k = t.peek()
@@ -118,10 +125,12 @@ def _parse_word_body(t: _Tokens, closers: set[str]) -> Letters:
         if k == "*":
             t.take("*")
             continue
-        out.extend(_parse_word_term(t))
+        term = _parse_word_term(t, cap)
+        _check_word_length(len(out) + len(term), cap)
+        out.extend(term)
 
 
-def _parse_word_term(t: _Tokens) -> Letters:
+def _parse_word_term(t: _Tokens, cap: int) -> Letters:
     k = t.peek()
     if k == "name":
         p = t.here()
@@ -131,14 +140,15 @@ def _parse_word_term(t: _Tokens) -> Letters:
         base: Letters = ((name, 1),)
     elif k == "(":
         t.take("(")
-        base = _parse_word_body(t, {")"})
+        base = _parse_word_body(t, {")"}, cap)
         t.take(")")
     elif k == "[":
         t.take("[")
-        u = _parse_word_body(t, {","})
+        u = _parse_word_body(t, {","}, cap)
         t.take(",")
-        v = _parse_word_body(t, {"]"})
+        v = _parse_word_body(t, {"]"}, cap)
         t.take("]")
+        _check_word_length(2 * (len(u) + len(v)), cap)
         base = u + v + _invert_letters(u) + _invert_letters(v)
     else:
         raise ParseError(f"expected a letter, '(' or '[', found {t.peek_value()!r}",
@@ -149,18 +159,20 @@ def _parse_word_term(t: _Tokens) -> Letters:
         if power < 0:
             base = _invert_letters(base)
             power = -power
+        _check_word_length(len(base) * power, cap)
         base = base * power
     return base
 
 
-def parse_word_letters(text: str) -> Letters:
+def parse_word_letters(text: str, cap: int = DEFAULT_CAP) -> Letters:
     """Parse a free word over {a, x} into its letter sequence.
 
     The sequence is exactly as written (no free reduction); ``^0`` yields
-    the empty word.
+    the empty word.  A word of more than ``cap`` letters is refused
+    (:class:`LimitExceededError`) before it is spelled out.
     """
     t = _Tokens(text)
-    letters = _parse_word_body(t, set())
+    letters = _parse_word_body(t, set(), cap)
     t.expect_end()
     return letters
 

@@ -161,6 +161,23 @@ def test_certify_cap_bounds_the_powers_of_a_in_u(capsys):
         assert run_cli(capsys, "certify", "--d", "5", "--cap", "5", "--z", "1")[0] == 0
 
 
+def test_fox_and_relator_cap_bounds_the_letters_of_a_word(capsys):
+    # w^k, [u, v] and r_l are counted against the cap before they are
+    # spelled out, so a word of 10^12 letters is refused at once.
+    with time_limit(0.9):
+        for word, code in (("a^10", 0), ("a^11", 3), ("(a*x)^6", 3), ("a^5 a^5", 0),
+                           ("a^5 a^6", 3), ("[[a,x],x]", 0), ("[[a,x],x^2]", 3)):
+            assert run_cli(capsys, "fox", "--cap", "10", word, "a")[0] == code, word
+        code, out, err = run_cli(capsys, "fox", "--d", "2", "(a^1000)^1000000000", "a")
+        assert (code, out) == (3, "")
+        assert err == ("limit exceeded: a word of 1000000000000 letters "
+                       "exceeds the cap 1000000\n")
+        assert run_cli(capsys, "relator", "--d", "2", "1000000000")[:2] == (3, "")
+        assert run_cli(capsys, "relator", "--d", "11", "--cap", "10", "0")[0] == 3
+        assert run_cli(capsys, "relator", "--d", "2", "--cap", "8", "1") == \
+            (0, "a*x*a*x^-1*a^-1*x*a^-1*x^-1\n", "")
+
+
 def test_invalid_config_exit_code(capsys):
     code, _, _ = run_cli(capsys, "mul", "--d", "1", "e", "e")
     assert code == 4

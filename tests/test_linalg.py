@@ -34,13 +34,22 @@ def reference_rref(matrix, p):
     return [row for row in rows if any(row)], pivots
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_rref_matches_reference_on_random_matrices(p):
+    # Uniform entries up to 8 x 8, then rank-deficient products up to 30 x 40.
     rng = random.Random(100 + p)
+    factors = np.random.default_rng(100 + p)
+    mats = []
     for _ in range(150):
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
-        mat = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        mats.append([[rng.randrange(p) for _ in range(n)] for _ in range(m)])
+    for _ in range(30):
+        m, n = rng.randint(2, 30), rng.randint(2, 40)
+        rank = rng.randint(0, min(m, n) - 1)
+        mats.append(((factors.integers(0, p, (m, rank)) @ factors.integers(0, p, (rank, n)))
+                     % p).tolist())
+    for mat in mats:
         got, pivots = rref_mod_p(np.array(mat), p)
         want, want_pivots = reference_rref(mat, p)
         assert pivots == want_pivots
@@ -185,9 +194,10 @@ def test_non_prime_modulus_rejected():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_first_kernel_vector_is_the_first_basis_vector(p):
-    # One-pass sparse elimination against the full kernel basis: tall,
-    # wide, zero-row and zero-column shapes, full-rank and rank-deficient
-    # entries, and widths of a few hundred columns.
+    # The first dependency against the full kernel basis: tall, wide,
+    # zero-row and zero-column shapes, full-rank and rank-deficient entries,
+    # and widths of a few hundred columns.  Both run the one elimination
+    # pass, so the small shapes are checked against the plain-Python oracle.
     rng = np.random.default_rng(500 + p)
     shapes = [(0, 0), (4, 0), (0, 5), (200, 150), (60, 150), (150, 40), (300, 140)]
     for _ in range(30):
@@ -199,6 +209,8 @@ def test_first_kernel_vector_is_the_first_basis_vector(p):
         for rank in sorted({min(m, n), int(rng.integers(0, min(m, n) + 1))}):
             mat = (rng.integers(0, p, (m, rank)) @ rng.integers(0, p, (rank, n))) % p
             kernel = nullspace_mod_p(mat, p)
+            if 0 < m * n <= 400:
+                assert kernel.tolist() == reference_kernel(mat.tolist(), p)
             got = first_kernel_vector(mat, p)
             if len(kernel) == 0:
                 assert got is None
