@@ -67,7 +67,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="enumeration cap on the window elements of ore-search, the "
                           "powers of a in a certificate's u and the lamp subgroup behind "
                           "its gamma, the subgroup closure of annihilate, and the "
-                          "letters of the words of fox and relator")
+                          "letters of the words of fox and relator and of the "
+                          "relators that selftest differentiates")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the randomized selftest checks")
     sub.add_argument("--format", choices=("text", "json"), default="text",
@@ -288,7 +289,7 @@ def _selftest_checks(args):
                 comps = {l: algebra.random_element(rng, terms=2, lamp_bound=1, shift_bound=1)
                          for l in rng.sample(range(args.relator_bound + 1), 2)}
                 z = foxwords.ModuleVector(algebra, "relators", comps)
-                image = foxwords.boundary_from_relators(z)
+                image = foxwords.boundary_from_relators(z, args.cap)
                 if not foxwords.boundary_from_generators(image).is_zero():
                     return False
         return True

@@ -135,12 +135,15 @@ def relator_word(d: int, l: int, cap: int = DEFAULT_CAP) -> FreeWord:
     return parse_word(f"a^{d}" if l == 0 else f"[a, x^{l} a x^-{l}]", cap)
 
 
-# One entry per (ring, relator index l, symbol): four rings with l <= 8
-# take 72.  The bound leaves ample room and keeps a long process bounded.
+# One entry per (ring, relator index l, symbol, cap): four rings with
+# l <= 8 take 72 at one cap.  The bound leaves ample room and keeps a long
+# process bounded.
 @lru_cache(maxsize=1024)
-def relator_fox_derivative(algebra: GroupRing, l: int, symbol: str) -> GroupRingElement:
-    """Cached d(r_l)/d(symbol) in the given group ring."""
-    return fox_derivative(relator_word(algebra.group.d, l), symbol, algebra)
+def relator_fox_derivative(algebra: GroupRing, l: int, symbol: str,
+                           cap: int = DEFAULT_CAP) -> GroupRingElement:
+    """Cached d(r_l)/d(symbol) in the given group ring; r_l is spelled
+    under ``cap`` letters (see :func:`relator_word`)."""
+    return fox_derivative(relator_word(algebra.group.d, l, cap), symbol, algebra)
 
 
 class ModuleVector:
@@ -220,8 +223,9 @@ def boundary_from_generators(v: ModuleVector) -> GroupRingElement:
     return out
 
 
-def boundary_from_relators(z: ModuleVector) -> ModuleVector:
-    """Send each relator basis vector u*r to sum_s u*(dr/ds)*s."""
+def boundary_from_relators(z: ModuleVector, cap: int = DEFAULT_CAP) -> ModuleVector:
+    """Send each relator basis vector u*r to sum_s u*(dr/ds)*s; a relator
+    of more than ``cap`` letters is refused before it is spelled out."""
     if z.basis != "relators":
         raise ValueError("expected a vector over the relator basis")
     algebra = z.algebra
@@ -229,6 +233,6 @@ def boundary_from_relators(z: ModuleVector) -> ModuleVector:
     for sym in GENERATOR_SYMBOLS:
         total = algebra.zero
         for l, u in z.components.items():
-            total = total + u * relator_fox_derivative(algebra, l, sym)
+            total = total + u * relator_fox_derivative(algebra, l, sym, cap)
         comps[sym] = total
     return ModuleVector(algebra, "generators", comps)

@@ -7,13 +7,14 @@ Beyond the ring operations this module provides
 * the augmentation map (sum of coefficients),
 * the projection onto the Laurent ring k[x, x^-1] induced by the group
   quotient b * x^n -> x^n, whose kernel is the ideal generated by the
-  base group's augmentation ideal, and
+  base group's augmentation ideal,
+* integer-coded elements (:class:`CodedElements`, :func:`element_codes`),
+  whose translates and codes the Ore system and the annihilator search
+  read instead of per-cell products of wreath elements, and
 * left-multiplication maps restricted to finite supports: the row of
-  every product (:func:`left_mul_rows`), which the annihilator search
-  reads column by column, and the dense coefficient matrix
-  (:func:`left_mul_matrix`).  Rows are the distinct products in code
-  order, found by index arithmetic on integer-coded elements
-  (:class:`CodedElements`), not by per-cell products of wreath elements.
+  every product (:func:`left_mul_rows`) and the dense coefficient matrix
+  (:func:`left_mul_matrix`), with the distinct products in code order as
+  rows.
 
 Coefficients are stored internally as canonical Python ints for speed;
 :class:`~lamplighter.ring.Scalar` values appear at the API boundary.
@@ -426,19 +427,22 @@ class CodedElements:
         return CodedElements(self.group, lo, shifts, digits.reshape(m * n, hi - lo))
 
 
-def element_codes(table: CodedElements) -> np.ndarray:
+def element_codes(table: CodedElements,
+                  shift_range: tuple[int, int] | None = None) -> np.ndarray:
     """One sortable code per row of the table, equal iff the elements are.
 
     The shift offset and each lamp digit are mixed-radix digits, packed
     into as many int64 words as exactness needs.  One word gives an int64
     code; several give a fixed-width byte string, so no window overflows
     the code.  Codes are summed one digit column at a time, so no rows x
-    digits matrix of int64 is built.
+    digits matrix of int64 is built.  The shift offset runs over the
+    table's own shifts, or over ``shift_range`` = (low, high) when given:
+    tables with the same lamp positions then share one code scheme.
     """
     if not len(table):
         return np.zeros(0, dtype=np.int64)
-    low = int(table.shifts.min())
-    radices = [int(table.shifts.max()) - low + 1] + [table.group.d] * table.digits.shape[1]
+    low, high = shift_range or (int(table.shifts.min()), int(table.shifts.max()))
+    radices = [high - low + 1] + [table.group.d] * table.digits.shape[1]
     place, words = [], 0              # (word, place value) of each digit column
     while len(place) < len(radices):
         start = stop = len(place)

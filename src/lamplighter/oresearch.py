@@ -22,6 +22,7 @@ deterministic; reports are byte-identical across runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import LamplighterError
 from .groupring import (CodedElements, GroupRing, GroupRingElement, check_matrix_cells,
-                        element_codes, left_mul_rows)
+                        element_codes)
 from .linalg import field_dtype, first_dependency, nullspace_mod_p
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
 
@@ -131,7 +132,9 @@ def _coded_window(group: WreathGroup, window: Window,
                   cap: int) -> tuple[tuple[WreathElement, ...], CodedElements]:
     """The window's elements and their codes, built once for all searches.
     Every sigma's matrix has a row per element at least, so a window whose
-    n x n matrix is over the cell bound is refused before it is encoded."""
+    n x n matrix is over the cell bound is refused before it is encoded.
+    This also bounds a run's translate table: its factors lie in a smaller
+    window, so it holds fewer than n x n codes."""
     elements = tuple(window.elements(group, cap))
     check_matrix_cells(len(elements), len(elements))
     coded = CodedElements.encode(group, elements)
@@ -139,30 +142,91 @@ def _coded_window(group: WreathGroup, window: Window,
     return elements, coded
 
 
+# Width of the first column block of a translate table.  The searches of
+# the benchmark windows read 4-11 columns in the median, and 164 at most
+# at GF(2) window (3,3).  On the six benchmark searches 16 took the least
+# CPU time of 4-128, with 8-64 within timing noise of it.
+_FIRST_BLOCK = 16
+
+
+class _TranslateTable:
+    """The code of h * g_j for every left factor h and every element g_j of
+    a search window, shared by the annihilator searches of one run.
+
+    Columns are built in blocks, only when a search reads past the built
+    ones: the first block is ``_FIRST_BLOCK`` wide, each later one as wide
+    as all before it.  The shift range is fixed from the factors and the
+    window before the first block (the lamp positions already are: every
+    block translates the same coded window by the same factors), so codes
+    agree across blocks and serve directly as the rows of the elimination;
+    codes of several int64 words become Python ints.
+    """
+
+    def __init__(self, group: WreathGroup, window: Window,
+                 factors: Iterable[WreathElement], cap: int):
+        self.window = window
+        self.domain, self.coded = _coded_window(group, window, cap)
+        self.factors = list(factors)
+        self.row = {h: k for k, h in enumerate(self.factors)}
+        shifts = [h.shift for h in self.factors]
+        self.shift_range = (min(shifts, default=0) - window.shift_bound,
+                            max(shifts, default=0) + window.shift_bound)
+        self.blocks: list[np.ndarray] = []      # len(factors) x block width
+        self.built = 0
+
+    def _grow(self) -> bool:
+        """Build the next block of columns; False when all are built."""
+        start = self.built
+        if start == len(self.domain):
+            return False
+        self.built = min(len(self.domain), max(_FIRST_BLOCK, 2 * start))
+        products = self.coded.take(slice(start, self.built)).left_translates(self.factors)
+        codes = element_codes(products, self.shift_range)
+        if codes.dtype.kind == "V":
+            codes = np.array([int.from_bytes(c, "little") for c in codes.tolist()],
+                             dtype=object)
+        self.blocks.append(codes.reshape(len(self.factors), self.built - start))
+        return True
+
+    def columns(self, sigma: GroupRingElement):
+        """Column j of the matrix of g -> sigma * g, as {code of h * g_j: c_h}."""
+        rows = [self.row[h] for h in sigma.terms]
+        coeffs = list(sigma.terms.values())
+        k = 0
+        while k < len(self.blocks) or self._grow():
+            for column in self.blocks[k][rows].T.tolist():
+                yield dict(zip(column, coeffs))
+            k += 1
+
+
 def annihilator_search(sigma: GroupRingElement, search_window: Window,
-                       cap: int = DEFAULT_CAP) -> GroupRingElement | None:
+                       cap: int = DEFAULT_CAP,
+                       table: _TranslateTable | None = None) -> GroupRingElement | None:
     """Any nonzero w supported in the window with sigma * w = 0, else None.
 
     None is inconclusive: it never certifies that sigma is a
     non-zerodivisor, only that no annihilator lives in this window.  The
     witness is the first vector of the canonical kernel basis of the
     matrix of g -> sigma * g (see linalg.first_dependency), found without
-    building the matrix; its rows stay in code order, which the kernel
-    does not depend on.  Coefficients outside GF(p) (see
-    linalg.field_dtype) and a window whose n x n matrix is over the cell
-    bound are refused before any product is formed.
+    building the matrix: its columns are read from a translate table of
+    the window, ``table`` when a run shares one whose factors hold the
+    terms of sigma, else one built for sigma's own terms.  Its rows are
+    product codes, which the kernel does not depend on.  Coefficients
+    outside GF(p) (see linalg.field_dtype) and a window whose n x n matrix
+    is over the cell bound are refused before any product is formed.
     """
     if sigma.is_zero():
         raise ValueError("annihilator search needs a nonzero element")
     p = sigma.ring.modulus
     field_dtype(p)
-    domain, coded = _coded_window(sigma.group, search_window, cap)
-    rows, _ = left_mul_rows(sigma, coded)
-    coeffs = list(sigma.terms.values())
-    first = first_dependency((dict(zip(column.tolist(), coeffs)) for column in rows.T), p)
+    if table is None:
+        table = _TranslateTable(sigma.group, search_window, sigma.terms, cap)
+    elif table.window != search_window:
+        raise ValueError("the translate table belongs to another search window")
+    first = first_dependency(table.columns(sigma), p)
     if first is None:
         return None
-    return sigma.algebra.element([(domain[j], c) for j, c in sorted(first.items())])
+    return sigma.algebra.element([(table.domain[j], c) for j, c in sorted(first.items())])
 
 
 @dataclass(frozen=True)
@@ -182,12 +246,14 @@ class SolutionRecord:
 
 
 def check_solution(sigma: GroupRingElement, alpha: GroupRingElement,
-                   search_window: Window, cap: int = DEFAULT_CAP) -> SolutionRecord:
-    """Flags for one solution: base-ideal membership and a zerodivisor witness."""
+                   search_window: Window, cap: int = DEFAULT_CAP,
+                   table: _TranslateTable | None = None) -> SolutionRecord:
+    """Flags for one solution: base-ideal membership and a zerodivisor
+    witness, searched through ``table`` when given (see annihilator_search)."""
     in_ideal = sigma.in_base_augmentation_ideal()
     witness = None
     if not sigma.is_zero():
-        witness = annihilator_search(sigma, search_window, cap)
+        witness = annihilator_search(sigma, search_window, cap, table=table)
     return SolutionRecord(sigma, alpha, in_ideal, witness)
 
 
@@ -228,6 +294,8 @@ def run_search(algebra: GroupRing, window: Window,
     lamp position.  Every reported solution is re-substituted into the
     defining equation with exact group-ring arithmetic before being
     trusted; a failure there would be an internal error, not a report.
+    The searches share one translate table whose factors are the terms
+    of every sigma; it lives for this call only.
     """
     p, d = algebra.ring.modulus, algebra.group.d
     if annihilator_window is None:
@@ -238,12 +306,14 @@ def run_search(algebra: GroupRing, window: Window,
     _coded_window(algebra.group, annihilator_window, cap)
     vectors = nullspace(system)
     one_minus_a, one_minus_x = _ore_pair(algebra)
-    records = []
-    for vec in vectors:
-        sigma, alpha = system.solution_pair(vec)
+    pairs = [system.solution_pair(vec) for vec in vectors]
+    for sigma, alpha in pairs:
         if one_minus_a * sigma != one_minus_x * alpha:
             raise LamplighterError("kernel vector fails exact re-substitution")
-        records.append(check_solution(sigma, alpha, annihilator_window, cap))
+    table = _TranslateTable(algebra.group, annihilator_window,
+                            dict.fromkeys(h for sigma, _ in pairs for h in sigma.terms), cap)
+    records = [check_solution(sigma, alpha, annihilator_window, cap, table)
+               for sigma, alpha in pairs]
     ok = all((d != p or rec.in_base_ideal) for rec in records) and \
         all(rec.sigma.is_zero() or rec.annihilator is not None for rec in records)
     verdict = "consistent" if ok else "inconsistent"

@@ -195,6 +195,15 @@ def test_selftest(capsys):
     assert all(line.startswith("ok: ") for line in lines[:-1])
 
 
+def test_selftest_spells_relators_under_the_cap(capsys):
+    # Every relator of d = 5 has at least 5 letters, so the fundamental
+    # identity check refuses them under --cap 4.
+    code, out, err = run_cli(capsys, "selftest", "--d", "5", "--cap", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("limit exceeded: a word of ") and err.endswith(" exceeds the cap 4\n")
+    assert run_cli(capsys, "selftest", "--d", "5", "--cap", "100")[0] == 0
+
+
 def test_byte_identical_reruns(capsys):
     first = run_cli(capsys, "ore-search", "--d", "2", "--mod", "2",
                     "--window-lamps", "1", "--window-shift", "0",

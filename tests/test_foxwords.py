@@ -6,6 +6,7 @@ from conftest import random_free_word, random_ring_element
 from lamplighter.foxwords import (FreeWord, ModuleVector, boundary_from_generators,
                                   boundary_from_relators, evaluate, fox_derivative,
                                   parse_word, relator_word)
+from lamplighter.errors import LimitExceededError
 from lamplighter.groupring import GroupRing, GroupRingElement
 from lamplighter.ring import INTEGERS, ScalarRing
 from lamplighter.wreath import WreathGroup
@@ -191,6 +192,17 @@ def test_boundary_from_relators_on_basis():
     assert image.component("x").is_zero()
     zero = boundary_from_relators(ModuleVector(ZG2, "relators", {}))
     assert zero.is_zero()
+
+
+def test_boundary_from_relators_spells_relators_under_the_callers_cap():
+    # r_0 = a^5 has 5 letters: the caller's cap, not the default one,
+    # decides whether it is spelled out.
+    algebra = GroupRing(INTEGERS, WreathGroup(5))
+    z = ModuleVector(algebra, "relators", {0: algebra.one})
+    with pytest.raises(LimitExceededError, match="exceeds the cap 4$"):
+        boundary_from_relators(z, cap=4)
+    assert boundary_from_relators(z, cap=5) == boundary_from_relators(z)
+    assert boundary_from_relators(z).component("a") == algebra.geometric_a(5)
 
 
 def test_composite_boundary_vanishes_random():

@@ -16,7 +16,7 @@ from lamplighter.linalg import nullspace_mod_p
 from lamplighter.oresearch import (Window, _combination, annihilator_search, build_system,
                                    check_solution, nullspace, run_search)
 from lamplighter.ring import INTEGERS, ScalarRing
-from lamplighter.wreath import WreathElement, WreathGroup
+from lamplighter.wreath import DEFAULT_CAP, WreathElement, WreathGroup
 
 G2 = WreathGroup(2)
 G3 = WreathGroup(3)
@@ -152,6 +152,102 @@ def test_annihilator_search_equals_the_dense_kernel(case):
     kernel = nullspace_mod_p(left_mul_matrix(sigma, domain), sigma.ring.modulus)
     want = _combination(sigma.algebra, domain, kernel[0]) if len(kernel) else None
     assert annihilator_search(sigma, window) == want
+
+
+def dense_witness(sigma, window):
+    """Oracle: the first canonical kernel vector of the dense matrix."""
+    domain = window.elements(sigma.group)
+    kernel = nullspace_mod_p(left_mul_matrix(sigma, domain), sigma.ring.modulus)
+    return _combination(sigma.algebra, domain, kernel[0]) if len(kernel) else None
+
+
+@pytest.mark.parametrize("algebra, window", [
+    (F2G2, Window(1, 2)), (F3G2, Window(2, 1)), (F3G3, Window(1, 1)),
+    (F2G2, Window(0, 30)), (F3G3, Window(0, 20))])     # codes of several int64 words
+def test_shared_translate_table_equals_the_dense_kernel(algebra, window):
+    # Random sigmas searched alone and through one table for all of them.
+    # Half are tau * (1 - a), which the powers of a annihilate, and half
+    # are random sums, mostly without an annihilator.  Shifts at both ends
+    # of the window make the products of the long windows span more lamp
+    # positions than one int64 code holds.
+    rng = random.Random(window.lamp_bound * 100 + window.shift_bound)
+    group, p = algebra.group, algebra.ring.modulus
+    bound = window.shift_bound
+
+    def term():
+        lamps = {pos: rng.randrange(group.d) for pos in range(-1, 2)}
+        shift = rng.choice([-bound, bound, rng.randint(-bound, bound)])
+        return group.element(lamps, shift), rng.randrange(1, p)
+
+    sigmas = []
+    for k in range(8):
+        sigma = algebra.element([term() for _ in range(rng.randint(1, 3))])
+        sigmas.append(sigma * one_minus_a(algebra) if k % 2 else sigma)
+    sigmas = [s for s in sigmas if not s.is_zero()]
+    table = oresearch._TranslateTable(group, window, dict.fromkeys(
+        h for sigma in sigmas for h in sigma.terms), DEFAULT_CAP)
+    found = []
+    for sigma in sigmas:
+        want = dense_witness(sigma, window)
+        assert annihilator_search(sigma, window) == want
+        assert annihilator_search(sigma, window, table=table) == want
+        found.append(want is not None)
+    assert any(found) and not all(found)
+    # a sigma without an annihilator read every column, block by block
+    assert table.built == len(window.elements(group)) and len(table.blocks) > 2
+    assert (table.blocks[0].dtype == object) == (bound >= 20)
+
+
+@pytest.mark.parametrize("algebra, window", [
+    (F2G2, Window(1, 4)), (F3G2, Window(1, 1)), (F3G3, Window(1, 0))])
+def test_run_search_annihilators_equal_the_dense_kernel(algebra, window, monkeypatch):
+    tables = []
+
+    class Recorded(oresearch._TranslateTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(oresearch, "_TranslateTable", Recorded)
+    report = run_search(algebra, window)
+    search = window.widened(lamps=1)
+    for rec in report.solutions:
+        assert rec.annihilator == dense_witness(rec.sigma, search)
+    (table,) = tables                           # one table for the whole run
+    assert set(table.factors) == {h for rec in report.solutions for h in rec.sigma.terms}
+    if window == Window(1, 4):                  # 20 sigmas read all 288 columns
+        assert table.built == 288 and len(table.blocks) > 2
+
+
+def test_run_search_forms_fewer_products_than_the_full_table(monkeypatch):
+    # Every product h * g_j that run_search forms goes through
+    # left_translates.  The shared table is built only as far as a search
+    # reads, so the count stays below |H| x n, and a second run forms the
+    # same products again: nothing is carried over between runs.
+    formed = []
+    translates = CodedElements.left_translates
+
+    def counted(self, hs):
+        products = translates(self, hs)
+        formed[-1] += len(products)
+        return products
+
+    monkeypatch.setattr(CodedElements, "left_translates", counted)
+    for _ in range(2):
+        formed.append(0)
+        report = run_search(F2G2, Window(2, 2))
+    factors = {h for rec in report.solutions for h in rec.sigma.terms}
+    n = len(Window(3, 2).elements(G2))
+    assert formed[0] == formed[1] < len(factors) * n
+
+
+def test_gf3_d3_window_2_1_completes():
+    # The 11,664 x 6,561 cell matrix of one of its sigmas used to refuse
+    # this run (exit 3).  The searches build no matrix, and the search
+    # window's 6,561^2 cells pass the n x n bound.
+    report = run_search(F3G3, Window(2, 1))
+    assert (report.verdict, report.nullspace_dim) == ("consistent", 319)
+    assert all(rec.annihilator is not None for rec in report.solutions)
 
 
 @pytest.mark.parametrize("window", [Window(1, 4), Window(2, 2)])
