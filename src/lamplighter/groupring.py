@@ -481,34 +481,47 @@ CODED_PRODUCT_WIDTH = 64
 CODED_PRODUCT_BYTES = 2 ** 26
 
 
+def coded_width(left: Iterable[WreathElement], right: Iterable[WreathElement]) -> int | None:
+    """The number of lamp positions that the coded products g * h, g in
+    ``left`` and h in ``right``, span (see
+    :meth:`CodedElements.left_translates`), or None when a shift or lamp
+    position reaches 2^60.  Below that their sums fit in int64, so the
+    digits and codes of the products are exact; nothing is allocated here.
+    """
+    left, right = list(left), list(right)
+    if not left or not right:
+        return 0
+    shifts = [g.shift for g in left]
+    low, high = min(shifts), max(shifts)
+    bounds = [low, high] + [h.shift for h in right]
+    spans = []                        # lamp positions of the g, then of the moved h
+    for lamps, move in (([g.lamps for g in left if g.lamps], (0, 0)),
+                        ([h.lamps for h in right if h.lamps], (low, high))):
+        if lamps:
+            first, last = min(b[0][0] for b in lamps), max(b[-1][0] for b in lamps)
+            bounds += [first, last]
+            spans.append((first + move[0], last + move[1]))
+    if max(map(abs, bounds)) >= 2 ** 60:
+        return None
+    return max(b for _, b in spans) - min(a for a, _ in spans) + 1 if spans else 0
+
+
 def _runs_coded(left: GroupRingElement, right: GroupRingElement) -> bool:
     """Whether left * right runs through the coded kernel: enough pairs,
     few enough lamp positions and bytes, and exact int64 arithmetic.
 
     Each product g h arises once per g, so no coefficient sum has more
     than min(|left|, |right|) terms, and it is reduced mod m in int64.
-    Positions and shifts stay below 2^60, so their sums fit as well.
+    Positions and shifts stay below 2^60 (see :func:`coded_width`).
     """
     pairs = len(left) * len(right)
     if (pairs < CODED_PRODUCT_PAIRS or left.ring.modulus >= 2 ** 63
             or max(map(abs, left.terms.values())) * max(map(abs, right.terms.values()))
             * min(len(left), len(right)) >= 2 ** 63):
         return False
-    shifts = [g.shift for g in left.terms]
-    low, high = min(shifts), max(shifts)
-    bounds = [low, high] + [h.shift for h in right.terms]
-    spans = []                        # lamp positions of the g, then of the moved h
-    for lamps, move in (([g.lamps for g in left.terms if g.lamps], (0, 0)),
-                        ([h.lamps for h in right.terms if h.lamps], (low, high))):
-        if lamps:
-            first, last = min(b[0][0] for b in lamps), max(b[-1][0] for b in lamps)
-            bounds += [first, last]
-            spans.append((first + move[0], last + move[1]))
-    if max(map(abs, bounds)) >= 2 ** 60:
-        return False
-    width = max(b for _, b in spans) - min(a for a, _ in spans) + 1 if spans else 0
+    width = coded_width(left.terms, right.terms)
     itemsize = _digit_dtype(left.group.d).itemsize
-    return (width <= CODED_PRODUCT_WIDTH
+    return (width is not None and width <= CODED_PRODUCT_WIDTH
             and pairs * (width * (itemsize + 3) + 64) <= CODED_PRODUCT_BYTES)
 
 

@@ -13,7 +13,9 @@ echelon form.  Every kernel basis solution is then checked:
 * sigma must project to zero in k[x, x^-1] (membership in the ideal
   generated by the base augmentation ideal), and
 * a nonzero right annihilator of sigma is searched for in a slightly
-  larger window, exhibiting sigma as a left zerodivisor.
+  larger window, exhibiting sigma as a left zerodivisor.  Every
+  c * g * sigma (c a unit, g a group element) has the right annihilators
+  of sigma, so the search eliminates once per left-translation orbit.
 
 A failed annihilator search is inconclusive (reported, never treated as
 evidence that sigma is a non-zerodivisor).  All results are exact and
@@ -28,9 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LamplighterError
-from .groupring import (CodedElements, GroupRing, GroupRingElement, check_matrix_cells,
-                        element_codes)
+from .errors import LamplighterError, LimitExceededError
+from .groupring import (CODED_PRODUCT_BYTES, CodedElements, GroupRing, GroupRingElement,
+                        check_matrix_cells, coded_width, element_codes)
 from .linalg import field_dtype, first_dependency, nullspace_mod_p
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
 
@@ -149,25 +151,97 @@ def _coded_window(group: WreathGroup, window: Window,
 _FIRST_BLOCK = 16
 
 
+def _orbit_key(sigma: GroupRingElement) -> tuple:
+    """A key shared by sigma and every c * g * sigma, c a unit and g a group
+    element: the least of the translates c_h^-1 * h^-1 * sigma over the
+    terms c_h * h of least shift, each a sorted tuple of (shift, lamps,
+    coefficient).  Equal keys mean sigma' = c * g * sigma.  Computed on lamp
+    tuples: h^-1 * g has the lamps of g minus those of h and the shift of g
+    minus that of h, all moved down by the shift of h, which every such h
+    shares, so the terms are moved once.
+    """
+    p, d = sigma.ring.modulus, sigma.group.d
+    low = min(h.shift for h in sigma.terms)
+    moved = [(g.shift - low, [(pos - low, v) for pos, v in g.lamps], c)
+             for g, c in sigma.terms.items()]
+    keys = []
+    for shift_h, lamps_h, c_h in moved:
+        if shift_h:
+            continue
+        inverse = pow(c_h, -1, p)
+        translate = []
+        for shift, lamps, c in moved:
+            if lamps_h:
+                acc = dict(lamps)
+                for pos, v in lamps_h:
+                    if (w := (acc.get(pos, 0) - v) % d):
+                        acc[pos] = w
+                    else:
+                        del acc[pos]
+                lamps = sorted(acc.items())
+            translate.append((shift, tuple(lamps), c * inverse % p))
+        translate.sort()
+        keys.append(tuple(translate))
+    return min(keys)
+
+
 class _TranslateTable:
     """The code of h * g_j for every left factor h and every element g_j of
     a search window, shared by the annihilator searches of one run.
 
+    (c * g * sigma) * w = c * g * (sigma * w) for a unit c and a group
+    element g, so the matrix of w -> c * g * sigma * w is that of sigma with
+    its rows relabelled by g and its entries scaled by c: the same first
+    dependent column with the same combination, the same witness.  The
+    table keys each sigma by its left-translation orbit once
+    (:func:`_orbit_key`); its factors are the terms of the first member of
+    each orbit, and each orbit is eliminated once, its witness kept for
+    every member.
+
     Columns are built in blocks, only when a search reads past the built
     ones: the first block is ``_FIRST_BLOCK`` wide, each later one as wide
-    as all before it.  The shift range is fixed from the factors and the
-    window before the first block (the lamp positions already are: every
-    block translates the same coded window by the same factors), so codes
-    agree across blocks and serve directly as the rows of the elimination;
-    codes of several int64 words become Python ints.
+    as all before it, and no block's digits exceed
+    ``CODED_PRODUCT_BYTES``.  The shift range is fixed from the factors and
+    the window before the first block (the lamp positions already are:
+    every block translates the same coded window by the same factors), so
+    codes agree across blocks and serve directly as the rows of the
+    elimination; codes of several int64 words become Python ints.  A
+    table whose products would reach 2^60 or whose single column is over
+    the byte bound is refused before anything is translated.
     """
 
     def __init__(self, group: WreathGroup, window: Window,
-                 factors: Iterable[WreathElement], cap: int):
+                 sigmas: Iterable[GroupRingElement], cap: int):
         self.window = window
         self.domain, self.coded = _coded_window(group, window, cap)
-        self.factors = list(factors)
+        self.orbit: dict[frozenset, int] = {}       # terms of a sigma -> its orbit
+        self.members: list[GroupRingElement] = []   # the first sigma of each orbit
+        orbits: dict[tuple, int] = {}
+        for sigma in sigmas:
+            terms = frozenset(sigma.terms.items())
+            if terms in self.orbit:
+                continue
+            key = _orbit_key(sigma)
+            if key not in orbits:
+                orbits[key] = len(self.members)
+                self.members.append(sigma)
+            self.orbit[terms] = orbits[key]
+        self.witnesses: dict[int, GroupRingElement | None] = {}
+        self.factors = list(dict.fromkeys(h for sigma in self.members for h in sigma.terms))
         self.row = {h: k for k, h in enumerate(self.factors)}
+        # two window elements at its extreme shifts and lamps span what all do
+        corners = [group.element({-window.lamp_bound: 1}, -window.shift_bound),
+                   group.element({window.lamp_bound: 1}, window.shift_bound)]
+        width = coded_width(self.factors, corners)
+        if width is None:
+            raise LimitExceededError("a shift or lamp position of the annihilator "
+                                     "search reaches 2^60")
+        column = len(self.factors) * width * self.coded.digits.itemsize
+        if column > CODED_PRODUCT_BYTES:
+            raise LimitExceededError(f"one column of {len(self.factors)} products over {width} "
+                                     f"lamp positions exceeds the bound of "
+                                     f"{CODED_PRODUCT_BYTES} bytes")
+        self.block_limit = CODED_PRODUCT_BYTES // max(column, 1)
         shifts = [h.shift for h in self.factors]
         self.shift_range = (min(shifts, default=0) - window.shift_bound,
                             max(shifts, default=0) + window.shift_bound)
@@ -179,7 +253,8 @@ class _TranslateTable:
         start = self.built
         if start == len(self.domain):
             return False
-        self.built = min(len(self.domain), max(_FIRST_BLOCK, 2 * start))
+        self.built = min(len(self.domain), max(_FIRST_BLOCK, 2 * start),
+                         start + self.block_limit)
         products = self.coded.take(slice(start, self.built)).left_translates(self.factors)
         codes = element_codes(products, self.shift_range)
         if codes.dtype.kind == "V":
@@ -198,6 +273,17 @@ class _TranslateTable:
                 yield dict(zip(column, coeffs))
             k += 1
 
+    def witness(self, sigma: GroupRingElement) -> GroupRingElement | None:
+        """The witness of sigma's orbit, searched on its first member's
+        columns when the orbit is first asked for, then kept."""
+        orbit = self.orbit[frozenset(sigma.terms.items())]
+        if orbit not in self.witnesses:
+            member = self.members[orbit]
+            first = first_dependency(self.columns(member), member.ring.modulus)
+            self.witnesses[orbit] = None if first is None else member.algebra.element(
+                [(self.domain[j], c) for j, c in sorted(first.items())])
+        return self.witnesses[orbit]
+
 
 def annihilator_search(sigma: GroupRingElement, search_window: Window,
                        cap: int = DEFAULT_CAP,
@@ -209,24 +295,22 @@ def annihilator_search(sigma: GroupRingElement, search_window: Window,
     witness is the first vector of the canonical kernel basis of the
     matrix of g -> sigma * g (see linalg.first_dependency), found without
     building the matrix: its columns are read from a translate table of
-    the window, ``table`` when a run shares one whose factors hold the
-    terms of sigma, else one built for sigma's own terms.  Its rows are
-    product codes, which the kernel does not depend on.  Coefficients
-    outside GF(p) (see linalg.field_dtype) and a window whose n x n matrix
-    is over the cell bound are refused before any product is formed.
+    the window, ``table`` when a run shares one built for its sigmas, else
+    one built for sigma alone.  Its rows are product codes, which the
+    kernel does not depend on, and every c * g * sigma has the same
+    witness, so a shared table searches each left-translation orbit once.
+    Coefficients outside GF(p) (see linalg.field_dtype), a window whose
+    n x n matrix is over the cell bound and products whose lamps or shifts
+    a coded table cannot hold are refused before any product is formed.
     """
     if sigma.is_zero():
         raise ValueError("annihilator search needs a nonzero element")
-    p = sigma.ring.modulus
-    field_dtype(p)
+    field_dtype(sigma.ring.modulus)
     if table is None:
-        table = _TranslateTable(sigma.group, search_window, sigma.terms, cap)
+        table = _TranslateTable(sigma.group, search_window, [sigma], cap)
     elif table.window != search_window:
         raise ValueError("the translate table belongs to another search window")
-    first = first_dependency(table.columns(sigma), p)
-    if first is None:
-        return None
-    return sigma.algebra.element([(table.domain[j], c) for j, c in sorted(first.items())])
+    return table.witness(sigma)
 
 
 @dataclass(frozen=True)
@@ -294,8 +378,8 @@ def run_search(algebra: GroupRing, window: Window,
     lamp position.  Every reported solution is re-substituted into the
     defining equation with exact group-ring arithmetic before being
     trusted; a failure there would be an internal error, not a report.
-    The searches share one translate table whose factors are the terms
-    of every sigma; it lives for this call only.
+    The searches share one translate table, which eliminates once per
+    left-translation orbit of the sigmas; it lives for this call only.
     """
     p, d = algebra.ring.modulus, algebra.group.d
     if annihilator_window is None:
@@ -311,7 +395,7 @@ def run_search(algebra: GroupRing, window: Window,
         if one_minus_a * sigma != one_minus_x * alpha:
             raise LamplighterError("kernel vector fails exact re-substitution")
     table = _TranslateTable(algebra.group, annihilator_window,
-                            dict.fromkeys(h for sigma, _ in pairs for h in sigma.terms), cap)
+                            [sigma for sigma, _ in pairs if sigma], cap)
     records = [check_solution(sigma, alpha, annihilator_window, cap, table)
                for sigma, alpha in pairs]
     ok = all((d != p or rec.in_base_ideal) for rec in records) and \

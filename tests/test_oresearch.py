@@ -184,8 +184,7 @@ def test_shared_translate_table_equals_the_dense_kernel(algebra, window):
         sigma = algebra.element([term() for _ in range(rng.randint(1, 3))])
         sigmas.append(sigma * one_minus_a(algebra) if k % 2 else sigma)
     sigmas = [s for s in sigmas if not s.is_zero()]
-    table = oresearch._TranslateTable(group, window, dict.fromkeys(
-        h for sigma in sigmas for h in sigma.terms), DEFAULT_CAP)
+    table = oresearch._TranslateTable(group, window, sigmas, DEFAULT_CAP)
     found = []
     for sigma in sigmas:
         want = dense_witness(sigma, window)
@@ -196,6 +195,48 @@ def test_shared_translate_table_equals_the_dense_kernel(algebra, window):
     # a sigma without an annihilator read every column, block by block
     assert table.built == len(window.elements(group)) and len(table.blocks) > 2
     assert (table.blocks[0].dtype == object) == (bound >= 20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigmas_and_windows(), st.dictionaries(st.integers(-3, 3), st.integers(1, 2), max_size=3),
+       st.integers(-3, 3), st.integers(1, 4))
+@example((F2G2.one + F2G2.monomial(G2.generator_a(0)), Window(1, 1)), {}, 2 ** 40, 1)
+@example((F3G3.one - F3G3.monomial(G3.generator_x(1)), Window(1, 1)), {2 ** 40 - 1: 2},
+         2 ** 40, 2)
+def test_left_translates_share_the_witness(case, lamps, shift, c):
+    # (c * g * sigma) * w = c * g * (sigma * w), so c * g * sigma has the
+    # witness of sigma, alone or through one table that keys both to one
+    # orbit, also for g far left of the window (shift 2^40, with its lamps
+    # near the moved window, so the products span few lamp positions).
+    sigma, window = case
+    p, group = sigma.ring.modulus, sigma.group
+    assume(c % p)
+    moved = sigma.algebra.monomial(group.element(lamps, shift), c) * sigma
+    moved = sigma.algebra.element(list(moved.terms.items())[::-1])    # key not by term order
+    want = dense_witness(sigma, window)
+    assert annihilator_search(moved, window) == annihilator_search(sigma, window) == want
+    table = oresearch._TranslateTable(group, window, [sigma, moved], DEFAULT_CAP)
+    assert table.members == [sigma]
+    assert annihilator_search(moved, window, table=table) == want
+    assert annihilator_search(sigma, window, table=table) == want
+
+
+def same_orbit(s, t):
+    """Oracle for t = c * g * s, by exact products: with h a fixed term of s,
+    some term h' of t must be g * h, so g = h' * h^-1 and c = c_h' / c_h."""
+    h, c_h = next(iter(s.terms.items()))
+    inverse = pow(c_h, -1, s.ring.modulus)
+    return any(s.algebra.monomial(g * h.inverse(), c * inverse) * s == t
+               for g, c in t.terms.items())
+
+
+def orbit_members(sigmas):
+    """The first sigma of each left-translation orbit, in order."""
+    members = []
+    for t in sigmas:
+        if not any(same_orbit(s, t) for s in members):
+            members.append(t)
+    return members
 
 
 @pytest.mark.parametrize("algebra, window", [
@@ -214,9 +255,38 @@ def test_run_search_annihilators_equal_the_dense_kernel(algebra, window, monkeyp
     for rec in report.solutions:
         assert rec.annihilator == dense_witness(rec.sigma, search)
     (table,) = tables                           # one table for the whole run
-    assert set(table.factors) == {h for rec in report.solutions for h in rec.sigma.terms}
+    # its factors are the terms of the first sigma of each orbit
+    members = orbit_members([rec.sigma for rec in report.solutions])
+    assert set(table.factors) == {h for sigma in members for h in sigma.terms}
     if window == Window(1, 4):                  # 20 sigmas read all 288 columns
         assert table.built == 288 and len(table.blocks) > 2
+
+
+@pytest.mark.parametrize("algebra, window, orbits", [
+    (F2G2, Window(1, 4), 17), (F2G2, Window(2, 1), 12), (F3G2, Window(1, 1), None),
+    (F3G3, Window(1, 1), 11)])
+def test_run_search_eliminates_once_per_orbit(algebra, window, orbits, monkeypatch):
+    # annihilator_search is still called once per nonzero sigma, but the
+    # elimination runs once per left-translation orbit of the sigmas.
+    searches, eliminations = [], []
+    search, first = oresearch.annihilator_search, oresearch.first_dependency
+
+    def counted_search(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    def counted_first(*args):
+        eliminations.append(1)
+        return first(*args)
+
+    monkeypatch.setattr(oresearch, "annihilator_search", counted_search)
+    monkeypatch.setattr(oresearch, "first_dependency", counted_first)
+    report = run_search(algebra, window)
+    sigmas = [rec.sigma for rec in report.solutions if rec.sigma]
+    assert searches == sigmas
+    assert len(eliminations) == len(orbit_members(sigmas)) < len(sigmas)
+    if orbits is not None:
+        assert len(eliminations) == orbits
 
 
 def test_run_search_forms_fewer_products_than_the_full_table(monkeypatch):
@@ -468,6 +538,39 @@ def test_coefficients_outside_gf_p_are_refused_before_encoding(ring, monkeypatch
                  lambda: left_mul_matrix(sigma, [G2.identity])):
         with pytest.raises(UnsupportedRingError):
             call()
+
+
+@pytest.mark.parametrize("shift", [2 ** 40, 2 ** 62, 2 ** 63 + 5])
+def test_far_right_shifts_are_refused_before_any_product(shift, monkeypatch):
+    # (1 + a) * x^shift moves the window's lamps by shift past the lamp of a:
+    # at 2^40 one column of products spans 2^40 lamp positions (32 TiB in
+    # one block), and 2^62 and 2^63 + 5 pass the 2^60 bound of exact int64
+    # codes.  Each is refused before any product is formed.
+    def left_translates(*args):
+        raise AssertionError("products were formed")
+
+    monkeypatch.setattr(CodedElements, "left_translates", left_translates)
+    sigma = (F2G2.one + F2G2.monomial(G2.generator_a(0))) * \
+        F2G2.monomial(G2.generator_x(shift))
+    match = "bytes" if shift < 2 ** 60 else "2\\^60"
+    with pytest.raises(LimitExceededError, match=match):
+        annihilator_search(sigma, Window(1, 1))
+
+
+def test_table_blocks_stay_within_the_byte_bound(monkeypatch):
+    # With room for five columns of digits, every block is at most five
+    # columns wide, and the witnesses are those of the dense kernel.
+    window = Window(1, 2)
+    sigmas = [one_minus_x(F2G2), F2G2.one + F2G2.monomial(G2.generator_a(1))]
+    table = oresearch._TranslateTable(G2, window, sigmas, DEFAULT_CAP)
+    width = table.coded.left_translates(table.factors).digits.shape[1]
+    column = len(table.factors) * width         # one byte per digit at d = 2
+    monkeypatch.setattr(oresearch, "CODED_PRODUCT_BYTES", 5 * column)
+    table = oresearch._TranslateTable(G2, window, sigmas, DEFAULT_CAP)
+    for sigma in sigmas:
+        assert annihilator_search(sigma, window, table=table) == dense_witness(sigma, window)
+    assert table.built == len(table.domain)     # 1 - x reads every column
+    assert max(block.shape[1] for block in table.blocks) == 5
 
 
 def test_an_oversized_search_window_is_refused_before_any_product(monkeypatch):
