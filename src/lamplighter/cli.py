@@ -29,11 +29,11 @@ import numpy as np
 
 from . import certificates, foxwords, oresearch
 from .errors import (ConfigError, LamplighterError, LimitExceededError,
-                     NotInAugmentationIdealError, ParseError, SupportError)
+                     NotInAugmentationIdealError, ParseError, SupportError,
+                     UnsupportedRingError)
 from .groupring import GroupRing
-from .linalg import MAX_PRIME
 from .parsing import parse_ring_element
-from .ring import _WITNESS_BOUND, ScalarRing, is_prime
+from .ring import ScalarRing
 from .wreath import DEFAULT_CAP, WreathGroup
 
 EXIT_OK = 0
@@ -54,7 +54,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--d", type=int, default=2, help="lamp order d >= 2")
     sub.add_argument("--mod", type=int, default=0,
-                     help="coefficient modulus; 0 means the integers")
+                     help="coefficient modulus; 0 means the integers.  ore-search "
+                          "and reduce-b2 need a provable prime (reduce-b2 also --mod "
+                          "equal to --d)")
     sub.add_argument("--L", type=int, default=6, dest="relator_bound",
                      help="highest relator index for truncated checks")
     sub.add_argument("--N", type=int, default=None, dest="depth",
@@ -76,8 +78,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _validate(args, need_prime: bool = False, need_match: bool = False,
-              need_elimination: bool = False) -> GroupRing:
+def _validate(args) -> GroupRing:
     """Check the common parameters (ConfigError, exit code 4, on the first
     bad one) and return the group ring that --mod and --d name."""
     if args.depth is not None and args.depth < 0:
@@ -86,16 +87,6 @@ def _validate(args, need_prime: bool = False, need_match: bool = False,
         raise ConfigError(f"--d must be >= 2, got {args.d}")
     if args.mod != 0 and args.mod < 2:
         raise ConfigError(f"--mod must be 0 (integers) or >= 2, got {args.mod}")
-    if need_elimination and args.mod > MAX_PRIME:
-        raise ConfigError(f"--mod must be at most {MAX_PRIME} for elimination, got {args.mod}")
-    if need_prime and args.mod >= _WITNESS_BOUND:
-        raise ConfigError(f"--mod must be below {_WITNESS_BOUND} for this command, "
-                          f"got {args.mod}")
-    if need_prime and not is_prime(args.mod):
-        raise ConfigError(f"--mod must be a prime for this command, got {args.mod}")
-    if need_match and args.mod != args.d:
-        raise ConfigError(
-            f"this command needs --mod equal to --d, got {args.mod} and {args.d}")
     if args.relator_bound < 0:
         raise ConfigError(f"--L must be >= 0, got {args.relator_bound}")
     if args.window_lamps < 0 or args.window_shift < 0:
@@ -224,7 +215,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_ore_search(args) -> int:
-    algebra = _validate(args, need_prime=True, need_elimination=True)
+    algebra = _validate(args)
     window = oresearch.Window(args.window_lamps, args.window_shift)
     report = oresearch.run_search(algebra, window, cap=args.cap)
     if args.format == "json":
@@ -253,7 +244,7 @@ def _cmd_annihilate(args) -> int:
 
 
 def _cmd_reduce_b2(args) -> int:
-    algebra = _validate(args, need_prime=True, need_match=True)
+    algebra = _validate(args)
     vector = certificates.reduce_mod_ideal_square(parse_ring_element(args.element, algebra))
     _emit(args, _dump(vector.to_json()) if args.format == "json" else str(vector))
     return EXIT_OK
@@ -397,7 +388,7 @@ def main(argv=None) -> int:
     except LimitExceededError as exc:
         sys.stderr.write(f"limit exceeded: {exc}\n")
         return EXIT_LIMIT
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedRingError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_CONFIG
     except (NotInAugmentationIdealError, SupportError) as exc:

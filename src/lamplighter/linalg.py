@@ -10,9 +10,11 @@ columns, in Python ints, reporting each column as independent of the
 ones before it or as its unique combination of them.  :func:`rref_mod_p`
 runs it over every column; :func:`first_dependency` stops at the first
 combination, the first kernel vector, and never builds the matrix.
-:func:`field_dtype` is the package's one GF(p) guard: the elimination
-calls it before reading a column, and everything that builds a matrix for
-it before enumerating or allocating anything.
+:func:`field_dtype` is the package's one GF(p) guard: both call it before
+reading a column, and everything that builds a matrix for them before
+enumerating or allocating anything.  The only limit on p is that
+:func:`~lamplighter.ring.is_prime` proves it prime; matrices and kernels
+are stored in the smallest dtype that holds 0..p - 1.
 """
 
 from __future__ import annotations
@@ -25,28 +27,15 @@ from .errors import UnsupportedRingError
 from .ring import is_prime
 
 
-MAX_PRIME = 3_037_000_500      # the largest p with (p - 1)^2 + p <= 2^63 - 1
-
-
-def working_dtype(p: int):
-    """The storage dtype of the dense matrices that ``build_system`` and
-    ``left_mul_matrix`` fill: int16 when it holds (p - 1)^2 + p, else int64;
-    p past ``MAX_PRIME`` is refused."""
-    if p > MAX_PRIME:
-        raise UnsupportedRingError(f"elimination over GF({p}) would overflow int64; "
-                                   f"the modulus must be at most {MAX_PRIME}")
-    return np.int16 if (p - 1) * (p - 1) + p <= np.iinfo(np.int16).max else np.int64
-
-
 def field_dtype(p: int):
-    """``working_dtype(p)`` for a prime p, the package's one check that
-    coefficients form a GF(p) this module can eliminate over: the int64
-    bound is checked first, so a huge p is refused before the primality
-    test.  The integers (p = 0) and composite moduli are refused too."""
-    dtype = working_dtype(p)
+    """The package's one check that coefficients form a GF(p) this module
+    can eliminate over: p must be a prime that :func:`~lamplighter.ring.is_prime`
+    proves (so the integers, p = 0, composite moduli and probable primes past
+    its exact bound are refused).  Returns the smallest dtype that stores
+    0..p - 1: int16 to 2^15, int64 to 2^63, object (Python ints) beyond."""
     if not is_prime(p):
         raise UnsupportedRingError(f"linear algebra needs a prime modulus, got {p}")
-    return dtype
+    return next((t for t in (np.int16, np.int64) if p - 1 <= np.iinfo(t).max), object)
 
 
 def _eliminate(columns: Iterable[Mapping[int, int]], p: int) -> Iterator[dict[int, int] | None]:
@@ -55,9 +44,8 @@ def _eliminate(columns: Iterable[Mapping[int, int]], p: int) -> Iterator[dict[in
     {column: entry}, with entry 1 at itself.  The columns go into a sparse
     echelon basis of Python ints keyed by each vector's largest row,
     normalised to 1; each carries its column combination under the keys
-    ~j < 0, below every row.  p is checked before the first column is read.
+    ~j < 0, below every row.  Callers check p with :func:`field_dtype`.
     """
-    field_dtype(p)
     basis: dict[int, dict[int, int]] = {}
     for j, column in enumerate(columns):
         vector = {r: c % p for r, c in column.items() if c % p}
@@ -84,10 +72,12 @@ def _eliminate(columns: Iterable[Mapping[int, int]], p: int) -> Iterator[dict[in
 def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p).
 
-    Returns (R, pivot_columns) where R holds only the nonzero rows.  The
-    pivot columns are the independent ones of the elimination pass, and a
-    dependent column f with kernel vector v has R[i, f] = -v[pivots[i]].
+    Returns (R, pivot_columns) where R holds only the nonzero rows, in
+    ``field_dtype(p)``.  The pivot columns are the independent ones of the
+    elimination pass, and a dependent column f with kernel vector v has
+    R[i, f] = -v[pivots[i]].
     """
+    dtype = field_dtype(p)
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("need a 2-d matrix")
@@ -98,7 +88,7 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     dependent = {f: v for f, v in enumerate(_eliminate(columns, p)) if v is not None}
     pivots = [f for f in range(len(columns)) if f not in dependent]
     row_of = {j: i for i, j in enumerate(pivots)}
-    r = np.zeros((len(pivots), len(columns)), dtype=np.int64)
+    r = np.zeros((len(pivots), len(columns)), dtype=dtype)
     r[np.arange(len(pivots)), pivots] = 1
     for f, vector in dependent.items():
         del vector[f]
@@ -107,7 +97,8 @@ def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
-    """Canonical kernel basis of ``matrix`` over GF(p), one row per vector.
+    """Canonical kernel basis of ``matrix`` over GF(p), one row per vector,
+    in ``field_dtype(p)``.
 
     One basis vector per free (non-pivot) column f, ordered by f: entry f
     is 1 and each pivot column j of row i carries -R[i, f].  Empty basis
@@ -115,7 +106,7 @@ def nullspace_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     """
     r, pivots = rref_mod_p(matrix, p)
     free = sorted(set(range(r.shape[1])).difference(pivots))
-    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    basis = np.zeros((len(free), r.shape[1]), dtype=r.dtype)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -r[:, free].T % p
     return basis
@@ -129,6 +120,7 @@ def first_dependency(columns: Iterable[Mapping[int, int]], p: int) -> dict[int, 
     column, so later columns are never read; its vector is
     ``nullspace_mod_p(matrix, p)[0]``.
     """
+    field_dtype(p)
     return next((v for v in _eliminate(columns, p) if v is not None), None)
 
 

@@ -194,9 +194,10 @@ class _TranslateTable:
     its rows relabelled by g and its entries scaled by c: the same first
     dependent column with the same combination, the same witness.  The
     table keys each sigma by its left-translation orbit once
-    (:func:`_orbit_key`); its factors are the terms of the first member of
-    each orbit, and each orbit is eliminated once, its witness kept for
-    every member.
+    (:func:`_orbit_key`); its factors are the terms of each orbit's normal
+    form, the translate that names its key (so a sigma far from the window
+    is searched as one near it), and each orbit is eliminated once, its
+    witness kept for every member.
 
     Columns are built in blocks, only when a search reads past the built
     ones: the first block is ``_FIRST_BLOCK`` wide, each later one as wide
@@ -215,7 +216,7 @@ class _TranslateTable:
         self.window = window
         self.domain, self.coded = _coded_window(group, window, cap)
         self.orbit: dict[frozenset, int] = {}       # terms of a sigma -> its orbit
-        self.members: list[GroupRingElement] = []   # the first sigma of each orbit
+        self.members: list[GroupRingElement] = []   # each orbit's normal form
         orbits: dict[tuple, int] = {}
         for sigma in sigmas:
             terms = frozenset(sigma.terms.items())
@@ -224,7 +225,8 @@ class _TranslateTable:
             key = _orbit_key(sigma)
             if key not in orbits:
                 orbits[key] = len(self.members)
-                self.members.append(sigma)
+                self.members.append(sigma.algebra.element(
+                    [(WreathElement(group, lamps, shift), c) for shift, lamps, c in key]))
             self.orbit[terms] = orbits[key]
         self.witnesses: dict[int, GroupRingElement | None] = {}
         self.factors = list(dict.fromkeys(h for sigma in self.members for h in sigma.terms))
@@ -274,7 +276,7 @@ class _TranslateTable:
             k += 1
 
     def witness(self, sigma: GroupRingElement) -> GroupRingElement | None:
-        """The witness of sigma's orbit, searched on its first member's
+        """The witness of sigma's orbit, searched on its normal form's
         columns when the orbit is first asked for, then kept."""
         orbit = self.orbit[frozenset(sigma.terms.items())]
         if orbit not in self.witnesses:

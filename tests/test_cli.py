@@ -82,19 +82,32 @@ def test_ore_search_needs_prime_modulus(capsys):
 
 
 def test_ore_search_refuses_primes_past_int64_elimination(capsys):
-    # Refused before the window is enumerated: window (30, 1) would exceed the cap.
-    code, out, err = run_cli(capsys, "ore-search", "--d", "2", "--mod", "3037000507",
+    # Only primes that is_prime cannot prove are refused, before the window
+    # is enumerated: window (30, 1) would exceed the cap (2^89 - 1 is prime).
+    code, out, err = run_cli(capsys, "ore-search", "--d", "2", "--mod", str(2 ** 89 - 1),
                              "--window-lamps", "30")
     assert (code, out) == (4, "")
-    assert err == ("invalid configuration: --mod must be at most 3037000500 for elimination, "
-                   "got 3037000507\n")
-    # Checked before primality, which refuses a probable prime past 3.3e24 (2^89 - 1 is prime).
-    code, _, err = run_cli(capsys, "ore-search", "--mod", str(2 ** 89 - 1))
-    assert (code, err) == (4, "invalid configuration: --mod must be at most 3037000500 for "
-                              f"elimination, got {2 ** 89 - 1}\n")
-    code, out, _ = run_cli(capsys, "ore-search", "--d", "2", "--mod", "3037000493")
-    assert code == 0
-    assert out.startswith("window lamps<=1 shift<=1: 14 basis solutions, verdict consistent\n")
+    assert err == (f"invalid configuration: cannot prove {2 ** 89 - 1} prime: Miller-Rabin "
+                   "is exact only below 3317044064679887385961981\n")
+    for p in ("3037000507", str(2 ** 64 - 59)):
+        code, out, _ = run_cli(capsys, "ore-search", "--d", "2", "--mod", p)
+        assert code == 0
+        assert out.startswith("window lamps<=1 shift<=1: 14 basis solutions, "
+                              "verdict consistent\n")
+
+
+def test_refused_moduli_exit_4_before_enumeration(capsys):
+    # A composite and the integers, each refused by the library's own check
+    # with empty stdout (an unprovable prime is above); window (30, 1) would
+    # exit 3 if the check came after enumeration.
+    for mod in ("4", "0"):
+        code, out, err = run_cli(capsys, "ore-search", "--mod", mod, "--window-lamps", "30")
+        assert (code, out, err) == (4, "", "invalid configuration: linear algebra needs a "
+                                           f"prime modulus, got {mod}\n")
+    for argv in (("--d", "3", "--mod", "2"), ("--mod", "0")):
+        code, out, err = run_cli(capsys, "reduce-b2", *argv, "1 - a[0]")
+        assert (code, out) == (4, "")
+        assert err.startswith("invalid configuration: reduction needs GF(p) coefficients")
 
 
 def test_annihilate_command(capsys):
@@ -237,14 +250,14 @@ def test_out_to_an_unwritable_path_is_config_error(tmp_path, capsys):
 
 def test_huge_modulus_is_not_tested_for_primality(capsys):
     # is_prime cannot prove 2^127 - 1 prime: mul never asks whether the ring
-    # is a field, and reduce-b2 refuses the modulus before testing it.
+    # is a field, and reduce-b2 refuses the modulus at that question.
     m = str(2 ** 127 - 1)
     with time_limit(0.9):
         assert run_cli(capsys, "mul", "--mod", m, "e", "e") == (0, "1\n", "")
         code, out, err = run_cli(capsys, "reduce-b2", "--d", m, "--mod", m, "1 - a[0]")
     assert (code, out) == (4, "")
-    assert err == ("invalid configuration: --mod must be below 3317044064679887385961981 "
-                   f"for this command, got {m}\n")
+    assert err == (f"invalid configuration: cannot prove {m} prime: Miller-Rabin is exact "
+                   "only below 3317044064679887385961981\n")
 
 
 def test_certify_writes_certificate_file(tmp_path, capsys):

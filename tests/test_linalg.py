@@ -6,8 +6,8 @@ import pytest
 from conftest import time_limit
 from lamplighter.errors import UnsupportedRingError
 from lamplighter.groupring import GroupRing, left_mul_matrix
-from lamplighter.linalg import (MAX_PRIME, first_dependency, matrix_rank_mod_p,
-                               nullspace_mod_p, rref_mod_p, working_dtype)
+from lamplighter.linalg import (field_dtype, first_dependency, matrix_rank_mod_p,
+                               nullspace_mod_p, rref_mod_p)
 from lamplighter.ring import ScalarRing
 from lamplighter.wreath import WreathGroup
 
@@ -138,19 +138,21 @@ def first_kernel_vector(matrix, p):
     found = first_dependency(sparse_columns(matrix), p)
     if found is None:
         return None
-    vector = np.zeros(np.asarray(matrix).shape[1], dtype=np.int64)
+    vector = np.zeros(np.asarray(matrix).shape[1], dtype=object)
     vector[list(found)] = list(found.values())
     return vector
 
 
-def test_max_prime_is_the_int64_bound_of_elimination():
-    assert (MAX_PRIME - 1) ** 2 + MAX_PRIME <= np.iinfo(np.int64).max < MAX_PRIME ** 2 + 1
-    assert working_dtype(181) == np.int16 and working_dtype(191) == np.int64
-    assert working_dtype(MAX_PRIME) == np.int64
+def test_field_dtype_is_the_smallest_that_stores_the_field():
+    # 0..p - 1 fits int16 up to p = 2^15 and int64 up to 2^63; past that
+    # the entries are Python ints.
+    assert field_dtype(2) == field_dtype(32749) == np.int16
+    assert field_dtype(32771) == field_dtype(2 ** 63 - 25) == np.int64
+    assert field_dtype(2 ** 64 - 59) == object
 
 
 def test_kernel_at_the_largest_int64_prime():
-    p = 3037000493          # the largest prime <= MAX_PRIME
+    p = 2 ** 63 - 25        # the largest prime whose entries int64 stores
     rng = random.Random(3037)
     for trial in range(20):
         mat = [[rng.randrange(p) for _ in range(8)] for _ in range(5)]
@@ -158,28 +160,41 @@ def test_kernel_at_the_largest_int64_prime():
             mat[4] = [(rng.randrange(p) * a + rng.randrange(p) * b) % p
                       for a, b in zip(mat[0], mat[1])]
         kernel = nullspace_mod_p(np.array(mat, dtype=np.int64), p)
+        assert kernel.dtype == np.int64
         assert kernel.tolist() == reference_kernel(mat, p)
         assert not (np.array(mat, dtype=object) @ kernel.T.astype(object) % p).any()
         assert first_kernel_vector(np.array(mat), p).tolist() == kernel[0].tolist()
 
 
-@pytest.mark.parametrize("p", [3037000507, 4294967311])
-def test_primes_past_the_int64_bound_are_refused(p):
-    mat = np.ones((5, 8), dtype=np.int64)
-    for call in (working_dtype, lambda p: rref_mod_p(mat, p), lambda p: nullspace_mod_p(mat, p),
-                 lambda p: first_kernel_vector(mat, p), lambda p: matrix_rank_mod_p(mat, p)):
-        with pytest.raises(UnsupportedRingError, match="overflow int64"):
-            call(p)
+@pytest.mark.parametrize("p", [3037000507, 4294967311, 2 ** 61 - 1, 2 ** 64 - 59])
+def test_large_primes_are_exact(p):
+    # Elimination works in Python ints, so primes past the int64 bound of
+    # (p - 1)^2 + p are exact, and past 2^63 the matrices hold Python ints.
+    rng = random.Random(p % 1000)
+    dtype = field_dtype(p)
+    for trial in range(10):
+        mat = [[rng.randrange(p) for _ in range(7)] for _ in range(5)]
+        if trial % 2:       # rank 4: row 4 is a combination of rows 0 and 1
+            mat[4] = [(rng.randrange(p) * a + rng.randrange(p) * b) % p
+                      for a, b in zip(mat[0], mat[1])]
+        matrix = np.array(mat, dtype=dtype)
+        got, pivots = rref_mod_p(matrix, p)
+        assert (got.tolist(), pivots) == reference_rref(mat, p)
+        kernel = nullspace_mod_p(matrix, p)
+        assert got.dtype == kernel.dtype == dtype
+        assert kernel.tolist() == reference_kernel(mat, p)
+        assert matrix_rank_mod_p(matrix, p) == len(pivots)
+        assert first_kernel_vector(matrix, p).tolist() == kernel[0].tolist()
     algebra = GroupRing(ScalarRing(p), WreathGroup(2))
-    with pytest.raises(UnsupportedRingError, match="overflow int64"):
-        left_mul_matrix(algebra.one, [algebra.group.identity])
+    sigma = algebra.element([(algebra.group.identity, p - 1)])
+    assert left_mul_matrix(sigma, [algebra.group.identity]).tolist() == [[p - 1]]
 
 
 def test_huge_prime_is_refused_before_the_primality_test():
-    # is_prime refuses 2^127 - 1, a probable prime past its exact bound, with
-    # another message; the int64 bound refuses first.
+    # is_prime cannot prove 2^127 - 1 prime, a probable prime past its exact
+    # bound: field_dtype refuses it before any column is read.
     for call in (nullspace_mod_p, first_kernel_vector):
-        with time_limit(0.9), pytest.raises(UnsupportedRingError, match="overflow int64"):
+        with time_limit(0.9), pytest.raises(UnsupportedRingError, match="cannot prove"):
             call(np.eye(2, dtype=np.int64), 2 ** 127 - 1)
 
 

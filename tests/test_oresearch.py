@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import left_mul_labels, time_limit
+from conftest import convolve, left_mul_labels, time_limit
 from lamplighter import oresearch
 from lamplighter.certificates import RelatorCoefficients, certify
 from lamplighter.errors import LimitExceededError, UnsupportedRingError
@@ -203,11 +203,13 @@ def test_shared_translate_table_equals_the_dense_kernel(algebra, window):
 @example((F2G2.one + F2G2.monomial(G2.generator_a(0)), Window(1, 1)), {}, 2 ** 40, 1)
 @example((F3G3.one - F3G3.monomial(G3.generator_x(1)), Window(1, 1)), {2 ** 40 - 1: 2},
          2 ** 40, 2)
+@example((F2G2.one + F2G2.monomial(G2.generator_a(0)), Window(1, 1)), {0: 1}, 2 ** 40, 1)
 def test_left_translates_share_the_witness(case, lamps, shift, c):
     # (c * g * sigma) * w = c * g * (sigma * w), so c * g * sigma has the
     # witness of sigma, alone or through one table that keys both to one
-    # orbit, also for g far left of the window (shift 2^40, with its lamps
-    # near the moved window, so the products span few lamp positions).
+    # orbit, also for g far left of the window (shift 2^40).  Each orbit is
+    # searched on its normal form, so lamps of g near 0, whose products
+    # would span 2^40 lamp positions, are searched as fast as sigma.
     sigma, window = case
     p, group = sigma.ring.modulus, sigma.group
     assume(c % p)
@@ -215,8 +217,9 @@ def test_left_translates_share_the_witness(case, lamps, shift, c):
     moved = sigma.algebra.element(list(moved.terms.items())[::-1])    # key not by term order
     want = dense_witness(sigma, window)
     assert annihilator_search(moved, window) == annihilator_search(sigma, window) == want
-    table = oresearch._TranslateTable(group, window, [sigma, moved], DEFAULT_CAP)
-    assert table.members == [sigma]
+    table = oresearch._TranslateTable(group, window, [moved, sigma], DEFAULT_CAP)
+    (member,) = table.members                   # one orbit, one representative
+    assert same_orbit(sigma, member)
     assert annihilator_search(moved, window, table=table) == want
     assert annihilator_search(sigma, window, table=table) == want
 
@@ -255,9 +258,11 @@ def test_run_search_annihilators_equal_the_dense_kernel(algebra, window, monkeyp
     for rec in report.solutions:
         assert rec.annihilator == dense_witness(rec.sigma, search)
     (table,) = tables                           # one table for the whole run
-    # its factors are the terms of the first sigma of each orbit
+    # one representative per orbit, and its factors are their terms
     members = orbit_members([rec.sigma for rec in report.solutions])
-    assert set(table.factors) == {h for sigma in members for h in sigma.terms}
+    assert len(table.members) == len(members)
+    assert all(same_orbit(s, t) for s, t in zip(members, table.members))
+    assert set(table.factors) == {h for sigma in table.members for h in sigma.terms}
     if window == Window(1, 4):                  # 20 sigmas read all 288 columns
         assert table.built == 288 and len(table.blocks) > 2
 
@@ -342,15 +347,27 @@ def test_annihilator_search_stays_below_the_dense_matrix(window):
 
 
 def test_huge_modulus_is_refused_before_the_primality_test():
-    # is_prime refuses 2^127 - 1, a probable prime past its exact bound, with
-    # another message; the int64 bound refuses first.
+    # is_prime cannot prove 2^127 - 1 prime, a probable prime past its exact
+    # bound: field_dtype refuses it before anything is enumerated.
     algebra = GroupRing(ScalarRing(2 ** 127 - 1), G2)
     sigma = algebra.one + algebra.monomial(G2.generator_a(0))
     for call in (lambda: left_mul_matrix(sigma, [G2.identity]),
                  lambda: annihilator_search(sigma, Window(0, 0)),
                  lambda: run_search(algebra, Window(0, 0))):
-        with time_limit(0.9), pytest.raises(UnsupportedRingError, match="overflow int64"):
+        with time_limit(0.9), pytest.raises(UnsupportedRingError, match="cannot prove"):
             call()
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 2 ** 64 - 59])
+def test_run_search_past_the_int64_bound_is_exact(p):
+    # The kernels of GF(3) at d = 2 have these dimensions too; past 2^63 the
+    # system matrix holds Python ints.
+    algebra = GroupRing(ScalarRing(p), G2)
+    for window, dim in ((Window(1, 1), 14), (Window(2, 1), 57)):
+        report = run_search(algebra, window)
+        assert (report.verdict, report.nullspace_dim) == ("consistent", dim)
+        for rec in report.solutions:
+            assert rec.annihilator and not convolve(rec.sigma, rec.annihilator)
 
 
 def test_annihilator_search_rejects_zero():
