@@ -30,9 +30,9 @@ from typing import Iterable, Sequence
 
 from .errors import (NotInAugmentationIdealError, RingMismatchError, SupportError,
                      UnsupportedRingError)
-from .groupring import GroupRing, GroupRingElement
+from .groupring import GroupRing, GroupRingElement, lamp_configurations
 from .ring import ScalarRing
-from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations, lamp_span
+from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_span
 
 
 class RelatorCoefficients:
@@ -87,7 +87,7 @@ def zerodivisor_from_coefficients(z: RelatorCoefficients,
     group = algebra.group
     a = algebra.monomial(group.generator_a(0))
     one = algebra.one
-    powers = lamp_configurations(group, [0], (0,), cap) if z[0] else []
+    powers = lamp_configurations(group, [0], (0,), cap).decode() if z[0] else []
     u = z[0] * algebra.element([(b, 1) for b in powers])
     for n in range(1, len(z)):
         xn = algebra.monomial(group.generator_x(n))
@@ -100,10 +100,12 @@ def lamp_subgroup(group: WreathGroup, depth: int, cap: int = DEFAULT_CAP) -> lis
     """All lamp configurations supported on positions 1 <= |n| <= depth.
 
     The lamps at those positions are independent coordinates, so this is
-    exactly the subgroup they span: d^(2*depth) elements, enumerated in a
-    fixed order.
+    exactly the subgroup they span: d^(2*depth) elements, written as digits
+    by :func:`~lamplighter.groupring.lamp_configurations` and decoded.  The
+    positions are read only as far as the count stays within ``cap``.
     """
-    return lamp_configurations(group, [n for n in range(-depth, depth + 1) if n != 0], (0,), cap)
+    positions = (n for n in range(-depth, depth + 1) if n)
+    return lamp_configurations(group, positions, (0,), cap).decode()
 
 
 def right_annihilator(depth: int, algebra: GroupRing, cap: int = DEFAULT_CAP) -> GroupRingElement:

@@ -10,7 +10,9 @@ Beyond the ring operations this module provides
   base group's augmentation ideal,
 * integer-coded elements (:class:`CodedElements`, :func:`element_codes`),
   whose translates and codes the Ore system and the annihilator search
-  read instead of per-cell products of wreath elements, and
+  read instead of per-cell products of wreath elements, written straight
+  as digits by :func:`lamp_configurations`, the one enumerator of lamp
+  configurations on given positions, and
 * left-multiplication maps restricted to finite supports: the row of
   every product (:func:`left_mul_rows`) and the dense coefficient matrix
   (:func:`left_mul_matrix`), with the distinct products in code order as
@@ -425,6 +427,38 @@ class CodedElements:
         digits %= self.group.d
         shifts = (left.shifts[:, None] + self.shifts).reshape(m * n)
         return CodedElements(self.group, lo, shifts, digits.reshape(m * n, hi - lo))
+
+
+def lamp_configurations(group: WreathGroup, positions: Iterable[int],
+                        shifts: Sequence[int], cap: int) -> CodedElements:
+    """Every b * x^n with b supported on ``positions`` and n in ``shifts``,
+    coded: the d^k configurations of the k positions are written as one
+    digit array and tiled over the shifts, with no element built.
+
+    The count len(shifts) * d^k is multiplied toward ``cap`` one position
+    at a time and refused once it passes, so a huge k costs nothing.  Its
+    digits (count x the positions' range x digit bytes) are then checked
+    against ``CODED_PRODUCT_BYTES`` before they are allocated.  Order:
+    shifts as given, then lamp values lexicographically over ``positions``.
+    """
+    d, rest = group.d, iter(positions)
+    count, taken = len(shifts), []
+    while 0 < count <= cap and (p := next(rest, None)) is not None:
+        taken.append(p)
+        count *= d
+    if count > cap:
+        more = "at least " if next(rest, None) is not None else ""
+        raise LimitExceededError(f"enumeration of {more}{count} elements exceeds the cap {cap}")
+    k, lo, dtype = len(taken), min(taken, default=0), _digit_dtype(d)
+    width = max(taken) - lo + 1 if taken else 0
+    if count * width * dtype.itemsize > CODED_PRODUCT_BYTES:
+        raise LimitExceededError(f"{count} lamp configurations over {width} positions exceed "
+                                 f"the bound of {CODED_PRODUCT_BYTES} bytes")
+    configs = np.zeros((d,) * k + (width,), dtype=dtype)
+    for j, p in enumerate(taken):       # position j is axis j of the d x ... x d block
+        configs[..., p - lo] = np.arange(d, dtype=dtype).reshape((d,) + (1,) * (k - 1 - j))
+    return CodedElements(group, lo, np.repeat(np.array(shifts, dtype=np.int64), d ** k),
+                         np.tile(configs.reshape(d ** k, width), (len(shifts), 1)))
 
 
 def element_codes(table: CodedElements,

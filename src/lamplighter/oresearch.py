@@ -26,21 +26,23 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import LamplighterError, LimitExceededError
 from .groupring import (CODED_PRODUCT_BYTES, CodedElements, GroupRing, GroupRingElement,
-                        check_matrix_cells, coded_width, element_codes)
+                        check_matrix_cells, coded_width, element_codes, lamp_configurations)
 from .linalg import field_dtype, first_dependency, nullspace_mod_p
-from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_configurations
+from .wreath import DEFAULT_CAP, WreathElement, WreathGroup
 
 
 @dataclass(frozen=True)
 class Window:
     """A finite truncation of the group: lamp positions in
-    [-lamp_bound, lamp_bound], shifts in [-shift_bound, shift_bound]."""
+    [-lamp_bound, lamp_bound], shifts in [-shift_bound, shift_bound].
+    Its elements are enumerated coded (:meth:`coded`); the searches read
+    only the codes and decode the few elements that they report."""
 
     lamp_bound: int
     shift_bound: int
@@ -49,11 +51,25 @@ class Window:
         if self.lamp_bound < 0 or self.shift_bound < 0:
             raise ValueError("window bounds must be >= 0")
 
+    def coded(self, group: WreathGroup, cap: int = DEFAULT_CAP) -> CodedElements:
+        """All window elements as a coded table in canonical order
+        (:meth:`~lamplighter.wreath.WreathElement.sort_key`: shifts by
+        magnitude, negative first, then the sorted (position, value) pairs
+        of the lit lamps).  Over the positions in order, those tuples compare
+        as the digits do once each unlit lamp reads d when a later lamp is
+        lit (that lamp sorts after every value here) and 0 when none is (a
+        shorter tuple sorts first): one lexsort of that key."""
+        table = lamp_configurations(group, range(-self.lamp_bound, self.lamp_bound + 1),
+                                    range(-self.shift_bound, self.shift_bound + 1), cap)
+        lit = table.digits > 0
+        later = np.zeros_like(lit)          # a lamp after this position is lit
+        later[:, :-1] = np.logical_or.accumulate(lit[:, :0:-1], axis=1)[:, ::-1]
+        key = np.where(lit, table.digits, group.d * later)
+        return table.take(np.lexsort([*key.T[::-1], table.shifts, np.abs(table.shifts)]))
+
     def elements(self, group: WreathGroup, cap: int = DEFAULT_CAP) -> list[WreathElement]:
         """All window elements in canonical order (shift, then lamps)."""
-        return sorted(lamp_configurations(group, range(-self.lamp_bound, self.lamp_bound + 1),
-                                          range(-self.shift_bound, self.shift_bound + 1), cap),
-                      key=WreathElement.sort_key)
+        return self.coded(group, cap).decode()
 
     def widened(self, lamps: int = 1, shift: int = 0) -> "Window":
         return Window(self.lamp_bound + lamps, self.shift_bound + shift)
@@ -69,16 +85,22 @@ class OreSystem:
     Rows are indexed by the extended window (the distinct g, a * g and
     x * g over window elements g), in code order (see
     :func:`~lamplighter.groupring.element_codes`): the kernel and the
-    extended window's size do not depend on row order.  The left column
-    block is multiplication by 1 - a, the right block the negative of
-    multiplication by 1 - x.
+    extended window's size do not depend on row order.  The extended
+    window is kept coded (``rows``) and decoded only when
+    :attr:`extended` is read.  The left column block is multiplication by
+    1 - a, the right block the negative of multiplication by 1 - x.
     """
 
     algebra: GroupRing
     window: Window
     basis: tuple[WreathElement, ...]
-    extended: tuple[WreathElement, ...]
+    rows: CodedElements
     matrix: np.ndarray
+
+    @cached_property
+    def extended(self) -> tuple[WreathElement, ...]:
+        """The group element of each row."""
+        return tuple(self.rows.decode())
 
     def solution_pair(self, vector) -> tuple[GroupRingElement, GroupRingElement]:
         """Reassemble (sigma, alpha) from a coordinate vector."""
@@ -109,19 +131,19 @@ def build_system(algebra: GroupRing, window: Window, cap: int = DEFAULT_CAP) -> 
     p = algebra.ring.modulus
     dtype = field_dtype(p)      # refuses coefficients outside GF(p) before enumerating
     group = algebra.group
-    basis = window.elements(group, cap)
-    products = CodedElements.encode(group, basis).left_translates(
-        [group.identity, group.generator_a(0), group.generator_x(1)])
+    coded = window.coded(group, cap)
+    products = coded.left_translates([group.identity, group.generator_a(0),
+                                      group.generator_x(1)])
     _, first, rows = np.unique(element_codes(products), return_index=True,
                                return_inverse=True)
-    n = len(basis)
+    n = len(coded)
     check_matrix_cells(len(first), 2 * n)
     matrix = np.zeros((len(first), 2 * n), dtype=dtype)
     g, ag, xg = rows.reshape(3, n)
     left, right = np.arange(n), np.arange(n, 2 * n)
     matrix[g, left] = matrix[xg, right] = 1
     matrix[ag, left] = matrix[g, right] = p - 1
-    return OreSystem(algebra, window, tuple(basis), tuple(products.take(first).decode()), matrix)
+    return OreSystem(algebra, window, tuple(coded.decode()), products.take(first), matrix)
 
 
 def nullspace(system: OreSystem) -> list[np.ndarray]:
@@ -130,18 +152,17 @@ def nullspace(system: OreSystem) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _coded_window(group: WreathGroup, window: Window,
-                  cap: int) -> tuple[tuple[WreathElement, ...], CodedElements]:
-    """The window's elements and their codes, built once for all searches.
-    Every sigma's matrix has a row per element at least, so a window whose
-    n x n matrix is over the cell bound is refused before it is encoded.
+def _coded_window(group: WreathGroup, window: Window, cap: int) -> CodedElements:
+    """The window's elements, coded once for all searches and never decoded
+    as a whole: a search decodes only its witness's elements.  Every
+    sigma's matrix has a row per element at least, so a window whose n x n
+    matrix is over the cell bound is refused before any product is formed.
     This also bounds a run's translate table: its factors lie in a smaller
     window, so it holds fewer than n x n codes."""
-    elements = tuple(window.elements(group, cap))
-    check_matrix_cells(len(elements), len(elements))
-    coded = CodedElements.encode(group, elements)
+    coded = window.coded(group, cap)
+    check_matrix_cells(len(coded), len(coded))
     coded.shifts.flags.writeable = coded.digits.flags.writeable = False   # shared
-    return elements, coded
+    return coded
 
 
 # Width of the first column block of a translate table.  The searches of
@@ -214,7 +235,7 @@ class _TranslateTable:
     def __init__(self, group: WreathGroup, window: Window,
                  sigmas: Iterable[GroupRingElement], cap: int):
         self.window = window
-        self.domain, self.coded = _coded_window(group, window, cap)
+        self.coded = _coded_window(group, window, cap)
         self.orbit: dict[frozenset, int] = {}       # terms of a sigma -> its orbit
         self.members: list[GroupRingElement] = []   # each orbit's normal form
         orbits: dict[tuple, int] = {}
@@ -253,9 +274,9 @@ class _TranslateTable:
     def _grow(self) -> bool:
         """Build the next block of columns; False when all are built."""
         start = self.built
-        if start == len(self.domain):
+        if start == len(self.coded):
             return False
-        self.built = min(len(self.domain), max(_FIRST_BLOCK, 2 * start),
+        self.built = min(len(self.coded), max(_FIRST_BLOCK, 2 * start),
                          start + self.block_limit)
         products = self.coded.take(slice(start, self.built)).left_translates(self.factors)
         codes = element_codes(products, self.shift_range)
@@ -277,13 +298,15 @@ class _TranslateTable:
 
     def witness(self, sigma: GroupRingElement) -> GroupRingElement | None:
         """The witness of sigma's orbit, searched on its normal form's
-        columns when the orbit is first asked for, then kept."""
+        columns when the orbit is first asked for, then kept.  Only the
+        window elements of the witness's columns are decoded."""
         orbit = self.orbit[frozenset(sigma.terms.items())]
         if orbit not in self.witnesses:
             member = self.members[orbit]
             first = first_dependency(self.columns(member), member.ring.modulus)
+            cols = sorted(first or ())
             self.witnesses[orbit] = None if first is None else member.algebra.element(
-                [(self.domain[j], c) for j, c in sorted(first.items())])
+                zip(self.coded.take(cols).decode(), [first[j] for j in cols]))
         return self.witnesses[orbit]
 
 
@@ -403,5 +426,5 @@ def run_search(algebra: GroupRing, window: Window,
     ok = all((d != p or rec.in_base_ideal) for rec in records) and \
         all(rec.sigma.is_zero() or rec.annihilator is not None for rec in records)
     verdict = "consistent" if ok else "inconsistent"
-    return SearchReport(d, p, window, len(system.extended), len(vectors),
+    return SearchReport(d, p, window, len(system.rows), len(vectors),
                         tuple(records), verdict)

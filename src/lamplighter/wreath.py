@@ -15,7 +15,7 @@ they serve directly as group-ring support keys.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import LimitExceededError, RingMismatchError
 
@@ -200,17 +200,3 @@ def lamp_span(group: WreathGroup, generators: Iterable[Lamps], cap: int) -> list
         members += new
     return members
 
-
-def lamp_configurations(group: WreathGroup, positions: Sequence[int],
-                        shifts: Sequence[int], cap: int) -> list[WreathElement]:
-    """Every b * x^n with b supported on ``positions`` and n in ``shifts``.
-
-    The d^len(positions) * len(shifts) elements are counted against
-    ``cap`` before any is built.  Order: shifts as given, then lamp values
-    lexicographically over ``positions``.
-    """
-    count = group.d ** len(positions) * len(shifts)
-    if count > cap:
-        raise LimitExceededError(f"enumeration of {count} elements exceeds the cap {cap}")
-    span = lamp_span(group, [((p, 1),) for p in reversed(positions)], cap)
-    return [WreathElement(group, b.lamps, n) for n in shifts for b in span]

@@ -8,13 +8,16 @@ The oracles here deliberately avoid the code paths they check:
   a lamp configuration instead of the packaged normal-form law;
 * group-ring products are accumulated by a bare double loop over term
   pairs;
-* division by 1 - x is done by peeling shift slices, with no matrices.
+* division by 1 - x is done by peeling shift slices, with no matrices;
+* lamp configurations are listed by ``itertools.product`` and sorted by
+  ``sort_key``, with no digit arithmetic.
 """
 
 from __future__ import annotations
 
 import contextlib
 import signal
+from itertools import product
 
 import numpy as np
 
@@ -53,6 +56,20 @@ def convolve(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
             k = g * h
             acc[k] = acc.get(k, 0) + c * e
     return u.algebra.element(acc.items())
+
+
+def configurations_reference(group: WreathGroup, positions, shifts) -> list[WreathElement]:
+    """Oracle for the lamp enumerator: every b * x^n with b supported on
+    ``positions`` and n in ``shifts``, built one element at a time from
+    ``itertools.product`` and sorted by ``sort_key``."""
+    return sorted((group.element(zip(positions, values), n) for n in shifts
+                   for values in product(range(group.d), repeat=len(positions))),
+                  key=WreathElement.sort_key)
+
+
+def window_reference(group: WreathGroup, lamps: int, shift: int) -> list[WreathElement]:
+    """Oracle for ``Window(lamps, shift).elements``."""
+    return configurations_reference(group, range(-lamps, lamps + 1), range(-shift, shift + 1))
 
 
 def left_mul_labels(alpha: GroupRingElement, domain) -> tuple[np.ndarray, list]:

@@ -3,7 +3,8 @@ import tracemalloc
 
 import pytest
 
-from conftest import convolve, random_base_ideal_element, random_ring_element
+from conftest import (configurations_reference, convolve, random_base_ideal_element,
+                      random_ring_element, time_limit)
 from lamplighter.certificates import (Certificate, LampVector, RelatorCoefficients,
                                       certify, finite_subgroup_annihilator,
                                       lamp_subgroup, reduce_mod_ideal_square,
@@ -11,9 +12,9 @@ from lamplighter.certificates import (Certificate, LampVector, RelatorCoefficien
 from lamplighter.errors import (LimitExceededError, NotInAugmentationIdealError,
                                 SupportError, UnsupportedRingError)
 from lamplighter.foxwords import ModuleVector, boundary_from_relators
-from lamplighter.groupring import GroupRing
+from lamplighter.groupring import CodedElements, GroupRing, lamp_configurations
 from lamplighter.ring import INTEGERS, ScalarRing
-from lamplighter.wreath import WreathGroup
+from lamplighter.wreath import DEFAULT_CAP, WreathElement, WreathGroup
 
 G2 = WreathGroup(2)
 G3 = WreathGroup(3)
@@ -81,6 +82,30 @@ def test_annihilator_equals_the_convolution(d, field):
     for depth in range(4):
         subgroup_sum = algebra.element([(c, 1) for c in lamp_subgroup(algebra.group, depth)])
         assert right_annihilator(depth, algebra) == convolve(one_minus_a, subgroup_sum)
+
+
+@pytest.mark.parametrize("d, depth", [(2, 0), (2, 1), (2, 3), (3, 2), (5, 1), (131, 1)])
+def test_lamp_subgroup_equals_the_reference(d, depth):
+    # Positions 1 <= |n| <= depth skip 0, whose digit column stays zero.
+    group = WreathGroup(d)
+    positions = [n for n in range(-depth, depth + 1) if n]
+    want = configurations_reference(group, positions, (0,))
+    members = lamp_subgroup(group, depth)
+    assert sorted(members, key=WreathElement.sort_key) == want
+    coded = lamp_configurations(group, positions, (0,), DEFAULT_CAP)
+    encoded = CodedElements.encode(group, want)
+    assert (coded.lo, coded.digits.shape, coded.digits.dtype) == \
+        (encoded.lo, encoded.digits.shape, encoded.digits.dtype)
+    assert coded.decode() == members
+
+
+def test_huge_lamp_subgroup_is_refused_at_once():
+    # The positions are counted toward the cap, never listed in full.
+    with time_limit(0.9):
+        with pytest.raises(LimitExceededError, match="at least 1048576 elements exceeds"):
+            lamp_subgroup(G2, 10 ** 18)
+        with pytest.raises(LimitExceededError, match="exceeds the cap"):
+            right_annihilator(10 ** 18, F2G2)
 
 
 def test_annihilator_cap():

@@ -174,6 +174,20 @@ def test_certify_cap_bounds_the_powers_of_a_in_u(capsys):
         assert run_cli(capsys, "certify", "--d", "5", "--cap", "5", "--z", "1")[0] == 0
 
 
+@pytest.mark.parametrize("lamps", [2000, 10 ** 6, 10 ** 18, 10 ** 19])
+def test_ore_search_refuses_a_huge_window_at_once(capsys, lamps):
+    # d^(2L+1) * (2S+1) is multiplied toward the cap and refused once it
+    # passes: it is never formed in full (at 10^6 it has 600,000 digits),
+    # and the 2L + 1 positions are read lazily, never counted with len
+    # (at 10^19 that overflows).
+    with time_limit(0.9):
+        code, out, err = run_cli(capsys, "ore-search", "--mod", "2", "--d", "2",
+                                 "--window-lamps", str(lamps))
+    assert (code, out) == (3, "")
+    assert err == "limit exceeded: enumeration of at least 1572864 elements " \
+        "exceeds the cap 1000000\n"
+
+
 def test_fox_and_relator_cap_bounds_the_letters_of_a_word(capsys):
     # w^k, [u, v] and r_l are counted against the cap before they are
     # spelled out, so a word of 10^12 letters is refused at once.

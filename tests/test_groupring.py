@@ -8,9 +8,10 @@ from conftest import convolve, left_mul_labels, random_group_element, random_rin
 from lamplighter import groupring
 from lamplighter.certificates import (RelatorCoefficients, finite_subgroup_annihilator,
                                       right_annihilator, zerodivisor_from_coefficients)
-from lamplighter.errors import RingMismatchError, UnsupportedRingError
+from lamplighter.errors import LimitExceededError, RingMismatchError, UnsupportedRingError
 from lamplighter.groupring import (CODED_PRODUCT_PAIRS, CODED_PRODUCT_WIDTH, CodedElements,
-                                   GroupRing, element_codes, left_mul_matrix)
+                                   GroupRing, element_codes, lamp_configurations,
+                                   left_mul_matrix)
 from lamplighter.ring import INTEGERS, ScalarRing
 from lamplighter.wreath import WreathGroup
 
@@ -425,3 +426,21 @@ def test_coded_product_memory_stays_below_the_dict_loop(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+def test_widely_spread_positions_are_refused_before_allocation(monkeypatch):
+    # Four configurations of [0, 10^9] would need 4 x (10^9 + 1) digit
+    # bytes: refused before anything is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceededError, match="over 1000000001 positions exceed"):
+            lamp_configurations(G2, [0, 10 ** 9], (0,), 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # at the byte bound itself the digits are built, one byte past it not
+    monkeypatch.setattr(groupring, "CODED_PRODUCT_BYTES", 4 * 100)
+    assert lamp_configurations(G2, [0, 99], (0,), 10 ** 6).digits.shape == (4, 100)
+    with pytest.raises(LimitExceededError, match="exceed the bound of 400 bytes"):
+        lamp_configurations(G2, [0, 100], (0,), 10 ** 6)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import convolve, left_mul_labels, time_limit
+from conftest import convolve, left_mul_labels, time_limit, window_reference
 from lamplighter import oresearch
 from lamplighter.certificates import RelatorCoefficients, certify
 from lamplighter.errors import LimitExceededError, UnsupportedRingError
@@ -45,6 +45,25 @@ def test_window_enumeration():
         Window(-1, 0)
     with pytest.raises(LimitExceededError):
         Window(3, 3).elements(G3, cap=100)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 131])
+@pytest.mark.parametrize("lamps", [0, 1, 2])
+@pytest.mark.parametrize("shift", [0, 1, 3])
+def test_window_coded_equals_the_reference(d, lamps, shift):
+    # The digit table in sort_key order, against the product/sorted oracle
+    # encoded; d = 131 has int64 digits.  Windows over the cap are refused.
+    group = WreathGroup(d)
+    window = Window(lamps, shift)
+    if d ** (2 * lamps + 1) * (2 * shift + 1) > DEFAULT_CAP:
+        with pytest.raises(LimitExceededError, match="exceeds the cap"):
+            window.coded(group)
+        return
+    coded = window.coded(group)
+    want = CodedElements.encode(group, window_reference(group, lamps, shift))
+    assert coded.lo == want.lo and coded.digits.dtype == want.digits.dtype
+    assert np.array_equal(coded.digits, want.digits)
+    assert np.array_equal(coded.shifts, want.shifts)
 
 
 def test_build_system_tiny():
@@ -265,6 +284,43 @@ def test_run_search_annihilators_equal_the_dense_kernel(algebra, window, monkeyp
     assert set(table.factors) == {h for sigma in table.members for h in sigma.terms}
     if window == Window(1, 4):                  # 20 sigmas read all 288 columns
         assert table.built == 288 and len(table.blocks) > 2
+
+
+@pytest.mark.parametrize("algebra, window", [
+    (F2G2, Window(1, 4)), (F3G2, Window(1, 1)), (F3G3, Window(1, 0))])
+def test_run_search_witnesses_equal_the_reference_dense_kernel(algebra, window):
+    # Each witness is decoded from the codes of its columns only; it must be
+    # the first canonical kernel vector of the dense matrix over the search
+    # window listed by the oracle, with no lamp enumerator involved.
+    search = window.widened(lamps=1)
+    domain = window_reference(algebra.group, search.lamp_bound, search.shift_bound)
+    report = run_search(algebra, window)
+    assert any(rec.annihilator is not None for rec in report.solutions)
+    for rec in report.solutions:
+        kernel = nullspace_mod_p(left_mul_matrix(rec.sigma, domain), algebra.ring.modulus)
+        want = _combination(algebra, domain, kernel[0]) if len(kernel) else None
+        assert rec.annihilator == want
+
+
+def test_run_search_never_decodes_the_search_window(monkeypatch):
+    # The search window (2,1) has 96 elements.  The run decodes the Ore
+    # window's 24 for the basis and a few per witness, never all 96, and no
+    # search lists window elements as objects.
+    sizes, decode = [], CodedElements.decode
+
+    def recorded(self):
+        sizes.append(len(self))
+        return decode(self)
+
+    def elements(*args):
+        raise AssertionError("a window was listed as objects")
+
+    monkeypatch.setattr(CodedElements, "decode", recorded)
+    monkeypatch.setattr(Window, "elements", elements)
+    oresearch._coded_window.cache_clear()
+    report = run_search(F2G2, Window(1, 1))
+    assert report.verdict == "consistent" and report.extended_window_size == 40
+    assert 24 in sizes and max(sizes) < 96
 
 
 @pytest.mark.parametrize("algebra, window, orbits", [
@@ -586,7 +642,7 @@ def test_table_blocks_stay_within_the_byte_bound(monkeypatch):
     table = oresearch._TranslateTable(G2, window, sigmas, DEFAULT_CAP)
     for sigma in sigmas:
         assert annihilator_search(sigma, window, table=table) == dense_witness(sigma, window)
-    assert table.built == len(table.domain)     # 1 - x reads every column
+    assert table.built == len(table.coded)      # 1 - x reads every column
     assert max(block.shape[1] for block in table.blocks) == 5
 
 

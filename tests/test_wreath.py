@@ -6,7 +6,8 @@ import pytest
 
 from conftest import act_mul, random_group_element
 from lamplighter.errors import LimitExceededError, RingMismatchError
-from lamplighter.wreath import WreathElement, WreathGroup, lamp_configurations, lamp_span
+from lamplighter.groupring import lamp_configurations
+from lamplighter.wreath import WreathElement, WreathGroup, lamp_span
 
 G2 = WreathGroup(2)
 G3 = WreathGroup(3)
@@ -195,6 +196,6 @@ def test_lamp_configurations_order():
     positions, shifts = [2, -1, 0], [1, -2]
     expected = [group.element(zip(positions, values), n)
                 for n in shifts for values in product(range(3), repeat=3)]
-    assert lamp_configurations(group, positions, shifts, 54) == expected
+    assert lamp_configurations(group, positions, shifts, 54).decode() == expected
     with pytest.raises(LimitExceededError, match="enumeration of 54 elements exceeds the cap 53"):
         lamp_configurations(group, positions, shifts, 53)
