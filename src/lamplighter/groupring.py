@@ -436,18 +436,20 @@ def lamp_configurations(group: WreathGroup, positions: Iterable[int],
     digit array and tiled over the shifts, with no element built.
 
     The count len(shifts) * d^k is multiplied toward ``cap`` one position
-    at a time and refused once it passes, so a huge k costs nothing.  Its
+    at a time and refused once it passes, so a huge k costs nothing.  The
+    shifts are counted only as far as cap + 1, so a range too long for
+    len() is refused the same way.  Its
     digits (count x the positions' range x digit bytes) are then checked
     against ``CODED_PRODUCT_BYTES`` before they are allocated.  Order:
     shifts as given, then lamp values lexicographically over ``positions``.
     """
     d, rest = group.d, iter(positions)
-    count, taken = len(shifts), []
+    count, taken = len(shifts[:cap + 1]), []
     while 0 < count <= cap and (p := next(rest, None)) is not None:
         taken.append(p)
         count *= d
     if count > cap:
-        more = "at least " if next(rest, None) is not None else ""
+        more = "at least " if next(rest, None) is not None or shifts[cap + 1:cap + 2] else ""
         raise LimitExceededError(f"enumeration of {more}{count} elements exceeds the cap {cap}")
     k, lo, dtype = len(taken), min(taken, default=0), _digit_dtype(d)
     width = max(taken) - lo + 1 if taken else 0
@@ -499,11 +501,14 @@ def element_codes(table: CodedElements,
 
 # Products of at least this many term pairs run through the coded kernel
 # (:func:`_coded_product`), the rest through the dict loop of
-# :meth:`GroupRingElement.__mul__`.  On products that do not cancel the
-# two break even between 128 and 256 pairs, and the kernel is 1.1-1.3x
-# faster at 256 and 1.2-2x from 512 on; twice the crossover leaves room
-# for timing noise.  Products that cancel gain far more (see README).
-CODED_PRODUCT_PAIRS = 512
+# :meth:`GroupRingElement.__mul__`.  Timed on the benchmark's own products
+# of 256-511 pairs, each path forced: the kernel takes 0.12-0.31 of the
+# dict loop's time on annihilate's beta * alpha and 0.18-0.21 on certify's
+# u * gamma, which all cancel to zero, and 0.75-0.92 on fox-boundary's,
+# which do not cancel; ore-search forms none over 16 pairs.  On
+# fox-boundary's products of 128-255 pairs it takes 0.88-1.12: the kernel
+# gains nothing there on products that do not cancel.
+CODED_PRODUCT_PAIRS = 256
 # The kernel's work and memory grow with the number of lamp positions the
 # products span, the dict loop's only with the lamps that are lit.  On
 # sparse lamps that do not cancel the two break even at 128-256 positions;

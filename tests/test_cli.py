@@ -174,17 +174,22 @@ def test_certify_cap_bounds_the_powers_of_a_in_u(capsys):
         assert run_cli(capsys, "certify", "--d", "5", "--cap", "5", "--z", "1")[0] == 0
 
 
-@pytest.mark.parametrize("lamps", [2000, 10 ** 6, 10 ** 18, 10 ** 19])
-def test_ore_search_refuses_a_huge_window_at_once(capsys, lamps):
+@pytest.mark.parametrize("option,size,count", [
+    ("--window-lamps", 2000, 1572864), ("--window-lamps", 10 ** 6, 1572864),
+    ("--window-lamps", 10 ** 18, 1572864), ("--window-lamps", 10 ** 19, 1572864),
+    ("--window-shift", 10 ** 19, 1000001)],
+    ids=["2000", "1000000", "1000000000000000000", "10000000000000000000", "shift"])
+def test_ore_search_refuses_a_huge_window_at_once(capsys, option, size, count):
     # d^(2L+1) * (2S+1) is multiplied toward the cap and refused once it
     # passes: it is never formed in full (at 10^6 it has 600,000 digits),
-    # and the 2L + 1 positions are read lazily, never counted with len
-    # (at 10^19 that overflows).
+    # and neither the 2L + 1 positions nor the 2S + 1 shifts are counted
+    # with len (at 10^19 that overflows): the positions are read lazily,
+    # the shifts only as far as cap + 1.
     with time_limit(0.9):
         code, out, err = run_cli(capsys, "ore-search", "--mod", "2", "--d", "2",
-                                 "--window-lamps", str(lamps))
+                                 option, str(size))
     assert (code, out) == (3, "")
-    assert err == "limit exceeded: enumeration of at least 1572864 elements " \
+    assert err == f"limit exceeded: enumeration of at least {count} elements " \
         "exceeds the cap 1000000\n"
 
 

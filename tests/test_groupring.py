@@ -290,18 +290,22 @@ def test_coded_product_cancels_to_zero(modulus, d, coded_calls):
     depth = 3 if d == 2 else 2
     z = RelatorCoefficients([random_ring_element(rng, algebra) for _ in range(depth + 1)])
     u, gamma = zerodivisor_from_coefficients(z), right_annihilator(depth, algebra)
+    assert len(u) * len(gamma) >= CODED_PRODUCT_PAIRS
+    assert check_product(u, gamma, coded_calls).is_zero()
     # annihilate: the sum over the d^k lamp configurations on positions
-    # 0..k-1 times alpha, whose shift slices c * (a[i] - 1) x^i sum to 0
-    k = 7 if d == 2 else 5
-    alpha = algebra.element([(g, c * sign) for i in range(k)
-                             for c in [rng.choice([c for c in (1, -1, 2) if algebra.ring.canon(c)])]
-                             for g, sign in ((group.element({i: 1}, i), 1),
-                                             (group.generator_x(i), -1))])
-    beta = finite_subgroup_annihilator([alpha])
-    assert len(beta) == d ** k
-    for left, right in ((u, gamma), (beta, alpha)):
-        assert len(left) * len(right) >= CODED_PRODUCT_PAIRS
-        assert check_product(left, right, coded_calls).is_zero()
+    # 0..k-1 times alpha, whose shift slices c * (a[i % k] - 1) x^i,
+    # i < slices, sum to 0; the second size has fewer than twice
+    # CODED_PRODUCT_PAIRS pairs, as a third of annihilate's products do
+    for k, slices in ((7, 7), (5, 5)) if d == 2 else ((5, 5), (3, 5)):
+        alpha = algebra.element(
+            [(g, c * sign) for i in range(slices)
+             for c in [rng.choice([c for c in (1, -1, 2) if algebra.ring.canon(c)])]
+             for g, sign in ((group.element({i % k: 1}, i), 1), (group.generator_x(i), -1))])
+        beta = finite_subgroup_annihilator([alpha])
+        assert len(beta) == d ** k
+        assert len(beta) * len(alpha) >= CODED_PRODUCT_PAIRS
+        assert check_product(beta, alpha, coded_calls).is_zero()
+    assert len(beta) * len(alpha) < 2 * CODED_PRODUCT_PAIRS
 
 
 def shift_sum(algebra, count, coeff):
@@ -444,3 +448,14 @@ def test_widely_spread_positions_are_refused_before_allocation(monkeypatch):
     assert lamp_configurations(G2, [0, 99], (0,), 10 ** 6).digits.shape == (4, 100)
     with pytest.raises(LimitExceededError, match="exceed the bound of 400 bytes"):
         lamp_configurations(G2, [0, 100], (0,), 10 ** 6)
+
+
+def test_shifts_are_counted_only_to_the_cap():
+    # A range of 2^64 shifts is too long for len(); the shifts are counted
+    # to cap + 1 and the count is a lower bound only past that.
+    assert len(lamp_configurations(G2, [], range(4), 4)) == 4
+    with pytest.raises(LimitExceededError, match="^enumeration of 5 elements exceeds the cap 4$"):
+        lamp_configurations(G2, [], range(5), 4)
+    for positions, shifts in (([], range(6)), ([], range(2 ** 64)), ([0], range(-2 ** 64, 2 ** 64))):
+        with pytest.raises(LimitExceededError, match="^enumeration of at least 5 elements exceeds"):
+            lamp_configurations(G2, positions, shifts, 4)
