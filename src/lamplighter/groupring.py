@@ -69,6 +69,9 @@ class GroupRing:
     def __setattr__(self, name, value):
         raise AttributeError("GroupRing is immutable")
 
+    def __reduce__(self):
+        return GroupRing, (self.ring, self.group)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupRing)
                 and self.ring == other.ring and self.group == other.group)
@@ -103,7 +106,7 @@ class GroupRing:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[WreathElement, int] = {}
         for g, c in items:
-            if g.group != self.group:
+            if g.group is not self.group and g.group != self.group:
                 raise RingMismatchError(f"{g!r} does not live in {self.group!r}")
             v = acc.get(g, 0) + _coeff_value(self.ring, c)
             v = self.ring.canon(v)
@@ -157,6 +160,9 @@ class GroupRingElement:
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
 
+    def __reduce__(self):
+        return GroupRingElement, (self.algebra, self.terms)
+
     @property
     def ring(self) -> ScalarRing:
         return self.algebra.ring
@@ -166,7 +172,7 @@ class GroupRingElement:
         return self.algebra.group
 
     def _check(self, other: "GroupRingElement") -> None:
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise RingMismatchError(
                 f"cannot combine elements of {self.algebra!r} and {other.algebra!r}")
 

@@ -62,6 +62,9 @@ class ScalarRing:
     def __setattr__(self, name, value):
         raise AttributeError("ScalarRing is immutable")
 
+    def __reduce__(self):
+        return ScalarRing, (self.modulus,)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, ScalarRing) and self.modulus == other.modulus
 
@@ -115,6 +118,9 @@ class Scalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        return Scalar, (self.ring, self.value)
 
     def _coerce(self, other) -> int:
         if isinstance(other, Scalar):

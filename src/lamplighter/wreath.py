@@ -35,6 +35,9 @@ class WreathGroup:
     def __setattr__(self, name, value):
         raise AttributeError("WreathGroup is immutable")
 
+    def __reduce__(self):
+        return WreathGroup, (self.d,)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, WreathGroup) and self.d == other.d
 
@@ -77,28 +80,35 @@ class WreathElement:
 
     ``lamps`` is a sorted tuple of (position, value) pairs with values in
     1..d-1; ``shift`` is the exponent of x.  Two elements are equal iff
-    their groups, lamps and shifts agree.
+    their groups, lamps and shifts agree.  The hash of (d, lamps, shift)
+    is computed once, at construction, and kept in ``_hash``.
     """
 
-    __slots__ = ("group", "lamps", "shift")
+    __slots__ = ("group", "lamps", "shift", "_hash")
 
     def __init__(self, group: WreathGroup, lamps: Lamps, shift: int):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "lamps", lamps)
-        object.__setattr__(self, "shift", shift)
+        _set_group(self, group)
+        _set_lamps(self, lamps)
+        _set_shift(self, shift)
+        _set_hash(self, hash((group.d, lamps, shift)))
 
     def __setattr__(self, name, value):
         raise AttributeError("WreathElement is immutable")
 
+    def __reduce__(self):
+        return WreathElement, (self.group, self.lamps, self.shift)
+
     def _check(self, other: "WreathElement") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise RingMismatchError(
                 f"cannot combine elements of {self.group!r} and {other.group!r}")
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        self._check(other)
+        group = self.group
+        if other.group is not group:
+            self._check(other)
         n = self.shift
-        d = self.group.d
+        d = group.d
         if not other.lamps:
             merged = self.lamps
         elif not self.lamps and n == 0:
@@ -113,7 +123,7 @@ class WreathElement:
                 else:
                     del acc[p]
             merged = tuple(sorted(acc.items()))
-        return WreathElement(self.group, merged, n + other.shift)
+        return WreathElement(group, merged, n + other.shift)
 
     def inverse(self) -> "WreathElement":
         """The group inverse: (b, n)^-1 = (shift_{-n}(-b), -n)."""
@@ -151,13 +161,14 @@ class WreathElement:
         return self.sort_key() < other.sort_key()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, WreathElement)
-                and self.group == other.group
-                and self.shift == other.shift
-                and self.lamps == other.lamps)
+        return self is other or (isinstance(other, WreathElement)
+                                 and self._hash == other._hash
+                                 and self.shift == other.shift
+                                 and self.lamps == other.lamps
+                                 and self.group.d == other.group.d)
 
     def __hash__(self) -> int:
-        return hash((self.group.d, self.lamps, self.shift))
+        return self._hash
 
     def __str__(self) -> str:
         parts = []
@@ -171,6 +182,12 @@ class WreathElement:
 
     def __repr__(self) -> str:
         return f"WreathElement(d={self.group.d}, {self})"
+
+
+# The slots' own setters, which build an element without going through the
+# __setattr__ that keeps it immutable.
+_set_group, _set_lamps, _set_shift, _set_hash = (
+    WreathElement.__dict__[name].__set__ for name in WreathElement.__slots__)
 
 
 # Default bound on the elements one enumeration may build (CLI --cap).

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -10,10 +12,10 @@ from lamplighter.certificates import (RelatorCoefficients, finite_subgroup_annih
                                       right_annihilator, zerodivisor_from_coefficients)
 from lamplighter.errors import LimitExceededError, RingMismatchError, UnsupportedRingError
 from lamplighter.groupring import (CODED_PRODUCT_PAIRS, CODED_PRODUCT_WIDTH, CodedElements,
-                                   GroupRing, element_codes, lamp_configurations,
-                                   left_mul_matrix)
+                                   GroupRing, GroupRingElement, element_codes,
+                                   lamp_configurations, left_mul_matrix)
 from lamplighter.ring import INTEGERS, ScalarRing
-from lamplighter.wreath import WreathGroup
+from lamplighter.wreath import WreathElement, WreathGroup
 
 G2 = WreathGroup(2)
 ZG2 = GroupRing(INTEGERS, G2)
@@ -198,6 +200,27 @@ def test_mismatched_algebras_rejected():
         ZG2.monomial(WreathGroup(3).generator_a(0))
 
 
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda value: pickle.loads(pickle.dumps(value))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_values_copy_and_pickle_through_their_constructors(copier):
+    algebra = GroupRing(ScalarRing(3), WreathGroup(2))
+    g = algebra.group.element({-1: 1, 2: 1}, 3)
+    u = algebra.one - algebra.monomial(g, 2)
+    values = [(algebra.group, "d"), (g, "shift"), (algebra.ring, "modulus"),
+              (u.coefficient(g), "value"), (algebra, "ring")]
+    for value, name in values:
+        twin = copier(value)
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(twin, name, getattr(value, name))
+    twin = copier(u)
+    assert type(twin) is GroupRingElement and twin == u
+    assert twin * u == u * twin == u * u
+    with pytest.raises(AttributeError):
+        twin.terms = {}
+
+
 def test_scalar_multiples():
     alpha = one_minus_a(ZG2)
     assert 2 * alpha == alpha + alpha
@@ -265,6 +288,32 @@ def check_product(left, right, coded_calls, coded=True):
     pairs = len(left) * len(right)
     assert coded_calls == ([pairs] if coded and pairs >= CODED_PRODUCT_PAIRS else [])
     return product
+
+
+@pytest.mark.parametrize("algebra", [ZG2, F3G3])
+def test_products_below_the_threshold_multiply_every_pair_by_the_group_law(
+        algebra, coded_calls, monkeypatch):
+    """Each term pair of a dict-loop product is one WreathElement.__mul__
+    call, the call that the benchmark's wreath.mul counter counts."""
+    muls = []
+    law = WreathElement.__mul__
+
+    def counting(g, h):
+        muls.append(1)
+        return law(g, h)
+
+    rng = random.Random(17)
+    operands = [(distinct_element(rng, algebra, m), distinct_element(rng, algebra, n))
+                for m, n in ((1, 1), (3, 5), (8, CODED_PRODUCT_PAIRS // 8 - 1))]
+    w = distinct_element(rng, algebra, 5)
+    operands += [(algebra.one, w), (one_minus_a(algebra), w), (w, one_minus_x(algebra))]
+    monkeypatch.setattr(WreathElement, "__mul__", counting)
+    for u, v in operands:
+        del muls[:]
+        product = u * v
+        assert len(muls) == len(u) * len(v) < CODED_PRODUCT_PAIRS
+        assert product == convolve(u, v)
+    assert coded_calls == []
 
 
 @pytest.mark.parametrize("modulus,d", RINGS + [(5, 200)])   # d > 128: int64 digits

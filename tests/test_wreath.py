@@ -6,7 +6,8 @@ import pytest
 
 from conftest import act_mul, random_group_element
 from lamplighter.errors import LimitExceededError, RingMismatchError
-from lamplighter.groupring import lamp_configurations
+from lamplighter.groupring import CodedElements, lamp_configurations
+from lamplighter.parsing import parse_element
 from lamplighter.wreath import WreathElement, WreathGroup, lamp_span
 
 G2 = WreathGroup(2)
@@ -118,7 +119,36 @@ def test_elements_are_immutable_and_hashable():
     g = G2.generator_a(0)
     with pytest.raises(AttributeError):
         g.shift = 5
+    with pytest.raises(AttributeError):
+        g._hash = 0
     assert len({g, G2.generator_a(0), G2.identity}) == 2
+    # the kept hash is that of the normal form, however the element is built
+    a, x = G3.generator_a(-1), G3.generator_x(2)
+    built = [G3.element({1: 2, -3: 1}, 4), G3.identity, a, x, a * x, x * a,
+             (a * x).inverse(), (x * a) ** 3, (x * a) ** -2,
+             parse_element("a[1]^2*x^-3*a[0]", G3),
+             *CodedElements.encode(G3, [a * x, x * a, G3.identity]).decode()]
+    for h in built:
+        assert hash(h) == hash((3, h.lamps, h.shift))
+    # hash(-1) == hash(-2), so these pairs hash equal and differ in one field
+    for h, k in ((G3.element({}, -1), G3.element({}, -2)),
+                 (G3.element({-1: 1}, 0), G3.element({-2: 1}, 0))):
+        assert hash(h) == hash(k) and h != k and len({h, k}) == 2
+    # two instances of one group give equal elements, which multiply
+    other = WreathGroup(3)
+    assert other is not G3
+    b, y = other.generator_a(-1), other.generator_x(2)
+    assert b == a and hash(b) == hash(a) and len({a, b}) == 1
+    assert b * y == a * x and b * x == a * y == a * x
+    # the same normal form under two lamp orders
+    c2, c3 = G2.element({0: 1, 2: 1}, 1), G3.element({0: 1, 2: 1}, 1)
+    assert c2.lamps == c3.lamps and c2.shift == c3.shift
+    assert c2 != c3 and c3 != c2 and len({c2, c3}) == 2
+    for left, right in ((c2, c3), (c3, c2)):
+        with pytest.raises(RingMismatchError):
+            left * right
+        with pytest.raises(RingMismatchError):
+            left < right
 
 
 def bfs_span(group, generators):
