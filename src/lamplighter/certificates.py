@@ -31,11 +31,11 @@ from typing import Iterable, Sequence
 from .errors import (NotInAugmentationIdealError, RingMismatchError, SupportError,
                      UnsupportedRingError)
 from .groupring import GroupRing, GroupRingElement, lamp_configurations
-from .ring import ScalarRing
+from .ring import Immutable, ScalarRing
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_span
 
 
-class RelatorCoefficients:
+class RelatorCoefficients(Immutable):
     """A coefficient vector z_0..z_N over a group ring (N = len - 1)."""
 
     __slots__ = ("algebra", "entries")
@@ -50,9 +50,6 @@ class RelatorCoefficients:
                 raise RingMismatchError("all entries must share one group ring")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelatorCoefficients is immutable")
 
     @property
     def depth(self) -> int:
@@ -125,7 +122,7 @@ def right_annihilator(depth: int, algebra: GroupRing, cap: int = DEFAULT_CAP) ->
     return algebra.element([(c, 1) for c in members] + [(a * c, -1) for c in members])
 
 
-class Certificate:
+class Certificate(Immutable):
     """A verified (or failed) zerodivisor witness: u, gamma, u * gamma.
 
     ``verified`` is true exactly when gamma is nonzero and the product is
@@ -142,9 +139,6 @@ class Certificate:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "product", product)
         object.__setattr__(self, "verified", bool(gamma) and product.is_zero())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Certificate is immutable")
 
     def to_json(self) -> dict:
         algebra = self.u.algebra
@@ -219,7 +213,7 @@ def finite_subgroup_annihilator(alphas: Iterable[GroupRingElement],
     return algebra.element([(b, 1) for b in lamp_span(algebra.group, generators, cap)])
 
 
-class LampVector:
+class LampVector(Immutable):
     """A finitely supported lamp-position -> scalar vector over GF(p).
 
     The image of an augmentation-zero base element modulo the square of
@@ -232,9 +226,6 @@ class LampVector:
         cleaned = {pos: ring.canon(v) for pos, v in entries.items() if ring.canon(v)}
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LampVector is immutable")
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -28,12 +28,13 @@ from functools import lru_cache
 from .errors import RingMismatchError
 from .groupring import GroupRing, GroupRingElement
 from .parsing import Letters, parse_word_letters, word_to_text
+from .ring import Immutable
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup
 
 GENERATOR_SYMBOLS = ("a", "x")
 
 
-class FreeWord:
+class FreeWord(Immutable):
     """A word in the letters a^+-1, x^+-1, kept exactly as written.
 
     ``reduce`` returns the freely reduced form; other operations work on
@@ -47,9 +48,6 @@ class FreeWord:
             if sym not in GENERATOR_SYMBOLS or exp not in (1, -1):
                 raise ValueError(f"bad letter {(sym, exp)!r}")
         object.__setattr__(self, "letters", tuple(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeWord is immutable")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -146,7 +144,7 @@ def relator_fox_derivative(algebra: GroupRing, l: int, symbol: str,
     return fox_derivative(relator_word(algebra.group.d, l, cap), symbol, algebra)
 
 
-class ModuleVector:
+class ModuleVector(Immutable):
     """A finitely supported vector over the free module on generators
     ('a', 'x') or on relator indices (0..L), with group-ring components.
 
@@ -174,9 +172,6 @@ class ModuleVector:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "components", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleVector is immutable")
 
     def component(self, key) -> GroupRingElement:
         return self.components.get(key, self.algebra.zero)

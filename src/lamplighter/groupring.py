@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import LimitExceededError, RingMismatchError
 from .linalg import field_dtype
-from .ring import Scalar, ScalarRing
+from .ring import Immutable, Scalar, ScalarRing
 from .wreath import WreathElement, WreathGroup
 
 
@@ -57,7 +57,7 @@ def _signed_sum(ring: ScalarRing, terms: Sequence[tuple[str, int]]) -> str:
     return " ".join(parts) or "0"
 
 
-class GroupRing:
+class GroupRing(Immutable):
     """The group algebra of a wreath group over a scalar ring."""
 
     __slots__ = ("ring", "group")
@@ -65,12 +65,6 @@ class GroupRing:
     def __init__(self, ring: ScalarRing, group: WreathGroup):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "group", group)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRing is immutable")
-
-    def __reduce__(self):
-        return GroupRing, (self.ring, self.group)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupRing)
@@ -144,7 +138,7 @@ class GroupRing:
         return self.element(pairs)
 
 
-class GroupRingElement:
+class GroupRingElement(Immutable):
     """A finitely supported formal sum of wreath elements.
 
     Immutable; ``terms`` maps group elements to nonzero canonical
@@ -156,12 +150,6 @@ class GroupRingElement:
     def __init__(self, algebra: GroupRing, terms: dict[WreathElement, int]):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElement is immutable")
-
-    def __reduce__(self):
-        return GroupRingElement, (self.algebra, self.terms)
 
     @property
     def ring(self) -> ScalarRing:
@@ -292,7 +280,7 @@ class GroupRingElement:
         return f"<GroupRingElement {self} over {self.ring!r}, d={self.group.d}>"
 
 
-class LaurentElement:
+class LaurentElement(Immutable):
     """An element of k[x, x^-1]: a finitely supported map exponent -> k."""
 
     __slots__ = ("ring", "coeffs")
@@ -300,9 +288,6 @@ class LaurentElement:
     def __init__(self, ring: ScalarRing, coeffs: dict[int, int]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentElement is immutable")
 
     def _check(self, other: "LaurentElement") -> None:
         if self.ring != other.ring:

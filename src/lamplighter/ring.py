@@ -2,7 +2,7 @@
 
 All group-ring computation in this package happens over one of these
 rings.  Arithmetic is exact everywhere; there is no floating point.
-Values of ``IntegersMod(m)`` are kept as canonical representatives in
+Values of ``ScalarRing(m)`` are kept as canonical representatives in
 ``[0, m)``; integer values are arbitrary-precision Python ints.
 """
 
@@ -35,7 +35,37 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class ScalarRing:
+def _restore(cls, values):
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class Immutable:
+    """Base of the package's value types, whose slots are set once, in
+    ``__init__``, and never again.
+
+    ``copy``, ``deepcopy`` and ``pickle`` restore the stored slots without
+    running ``__init__``, so caches (``WreathElement._hash``,
+    ``ScalarRing._is_field``) and a ``Certificate.verified`` that
+    ``from_json`` cleared come back as they were.  Each subclass names all
+    of its slots in its own ``__slots__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+class ScalarRing(Immutable):
     """The ring of integers (``modulus=0``) or the integers mod m (m >= 2).
 
     Instances are immutable and compare by modulus.  ``is_field`` is true
@@ -58,12 +88,6 @@ class ScalarRing:
         if self._is_field is None:
             object.__setattr__(self, "_is_field", self.modulus != 0 and is_prime(self.modulus))
         return self._is_field
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarRing is immutable")
-
-    def __reduce__(self):
-        return ScalarRing, (self.modulus,)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScalarRing) and self.modulus == other.modulus
@@ -103,7 +127,7 @@ class ScalarRing:
 INTEGERS = ScalarRing(0)
 
 
-class Scalar:
+class Scalar(Immutable):
     """An exact element of a :class:`ScalarRing`.
 
     Immutable.  Mixed-ring arithmetic raises :class:`RingMismatchError`;
@@ -115,12 +139,6 @@ class Scalar:
     def __init__(self, ring: ScalarRing, value: int):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "value", ring.canon(int(value)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        return Scalar, (self.ring, self.value)
 
     def _coerce(self, other) -> int:
         if isinstance(other, Scalar):

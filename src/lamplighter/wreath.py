@@ -18,11 +18,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import LimitExceededError, RingMismatchError
+from .ring import Immutable
 
 Lamps = tuple[tuple[int, int], ...]
 
 
-class WreathGroup:
+class WreathGroup(Immutable):
     """Parameters of the group Z/dZ wr Z: the lamp order d >= 2."""
 
     __slots__ = ("d",)
@@ -31,12 +32,6 @@ class WreathGroup:
         if not isinstance(d, int) or d < 2:
             raise ValueError(f"lamp order d must be an integer >= 2, got {d}")
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WreathGroup is immutable")
-
-    def __reduce__(self):
-        return WreathGroup, (self.d,)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WreathGroup) and self.d == other.d
@@ -75,7 +70,7 @@ class WreathGroup:
         return WreathElement(self, (), int(n))
 
 
-class WreathElement:
+class WreathElement(Immutable):
     """Normal form b * x^n of an element of Z/dZ wr Z.
 
     ``lamps`` is a sorted tuple of (position, value) pairs with values in
@@ -91,12 +86,6 @@ class WreathElement:
         _set_lamps(self, lamps)
         _set_shift(self, shift)
         _set_hash(self, hash((group.d, lamps, shift)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WreathElement is immutable")
-
-    def __reduce__(self):
-        return WreathElement, (self.group, self.lamps, self.shift)
 
     def _check(self, other: "WreathElement") -> None:
         if self.group is not other.group and self.group != other.group:

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_command_examples(capsys, tmp_path, monkeypatch):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert lines
+    monkeypatch.chdir(tmp_path)                  # certify --out writes cert.json here
+    for line in lines:
+        command, marked, expected = line.partition("# -> ")
+        program, *argv = shlex.split(command)
+        assert program == "lamplighter"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+        if marked:
+            assert out == expected.strip() + "\n", line
 
 
 def test_fox_command(capsys):

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import convolve, left_mul_labels, random_group_element, random_ring_element
+import lamplighter
 from lamplighter import groupring
-from lamplighter.certificates import (RelatorCoefficients, finite_subgroup_annihilator,
+from lamplighter.certificates import (Certificate, RelatorCoefficients, certify,
+                                      finite_subgroup_annihilator, reduce_mod_ideal_square,
                                       right_annihilator, zerodivisor_from_coefficients)
 from lamplighter.errors import LimitExceededError, RingMismatchError, UnsupportedRingError
 from lamplighter.groupring import (CODED_PRODUCT_PAIRS, CODED_PRODUCT_WIDTH, CodedElements,
                                    GroupRing, GroupRingElement, element_codes,
                                    lamp_configurations, left_mul_matrix)
-from lamplighter.ring import INTEGERS, ScalarRing
+from lamplighter.foxwords import ModuleVector, parse_word
+from lamplighter.ring import INTEGERS, Immutable, ScalarRing
 from lamplighter.wreath import WreathElement, WreathGroup
 
 G2 = WreathGroup(2)
@@ -200,20 +203,53 @@ def test_mismatched_algebras_rejected():
         ZG2.monomial(WreathGroup(3).generator_a(0))
 
 
-@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
-                                    lambda value: pickle.loads(pickle.dumps(value))],
-                         ids=["copy", "deepcopy", "pickle"])
-def test_values_copy_and_pickle_through_their_constructors(copier):
+def immutable_values():
+    """One value of each exported immutable type, plus a certificate whose
+    N was tampered with: ``from_json`` stores it with ``verified`` False,
+    which ``Certificate.__init__`` would recompute as True."""
     algebra = GroupRing(ScalarRing(3), WreathGroup(2))
+    assert algebra.ring.is_field                    # fills the _is_field cache
     g = algebra.group.element({-1: 1, 2: 1}, 3)
     u = algebra.one - algebra.monomial(g, 2)
-    values = [(algebra.group, "d"), (g, "shift"), (algebra.ring, "modulus"),
-              (u.coefficient(g), "value"), (algebra, "ring")]
-    for value, name in values:
+    z = RelatorCoefficients([algebra.one, u])
+    cert = certify(z)
+    tampered = cert.to_json()
+    tampered["N"] = 0
+    tampered = Certificate.from_json(tampered)
+    assert cert.verified and not tampered.verified
+    return [algebra.group, g, algebra.ring, u.coefficient(g), algebra, u,
+            u.project_to_laurent(), parse_word("x*a*x^-1*a^2"),
+            ModuleVector(algebra, "generators", {"a": u, "x": algebra.one}), z, cert,
+            reduce_mod_ideal_square(F3G3.one - F3G3.monomial(F3G3.group.generator_a(-2))),
+            tampered]
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda value: pickle.loads(pickle.dumps(value, 0)),
+                                    lambda value: pickle.loads(
+                                        pickle.dumps(value, pickle.HIGHEST_PROTOCOL))],
+                         ids=["copy", "deepcopy", "pickle0", "pickle"])
+def test_values_copy_and_pickle_to_their_stored_slots(copier):
+    exported = {getattr(lamplighter, name) for name in lamplighter.__all__}
+    exported = {cls for cls in exported if isinstance(cls, type) and "__slots__" in vars(cls)}
+    assert len(exported) == 12 and all(issubclass(cls, Immutable) for cls in exported)
+    values = immutable_values()
+    assert {type(value) for value in values} == exported
+    for value in values:
         twin = copier(value)
-        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
-        with pytest.raises(AttributeError):
-            setattr(twin, name, getattr(value, name))
+        assert type(twin) is type(value) and twin is not value
+        for name in type(value).__slots__:
+            assert getattr(twin, name) == getattr(value, name)
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(twin, name, getattr(value, name))
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(twin, name)
+        if isinstance(value, Certificate):    # compared by identity; verified is a slot
+            continue
+        assert twin == value
+        if type(value).__hash__ is not None:
+            assert hash(twin) == hash(value)
+    u = values[5]
     twin = copier(u)
     assert type(twin) is GroupRingElement and twin == u
     assert twin * u == u * twin == u * u
