@@ -24,14 +24,13 @@ import functools
 import json
 import random
 import sys
-
-import numpy as np
+from json.encoder import encode_basestring_ascii
 
 from . import certificates, foxwords, oresearch
 from .errors import (ConfigError, LamplighterError, LimitExceededError,
                      NotInAugmentationIdealError, ParseError, SupportError,
                      UnsupportedRingError)
-from .groupring import GroupRing
+from .groupring import GroupRing, TermRecords
 from .parsing import parse_ring_element
 from .ring import ScalarRing
 from .wreath import DEFAULT_CAP, WreathGroup
@@ -107,68 +106,37 @@ def _emit(args, text: str) -> None:
         raise ConfigError(f"cannot write --out: {exc}") from exc
 
 
-_COMPACT = json.JSONEncoder(separators=(",", ": "))
-_SPECIAL = np.zeros(256, dtype=bool)
-_SPECIAL[list(b'"\\[]{},')] = True
-_DEPTH_STEP = np.zeros(256, dtype=np.int8)
-_DEPTH_STEP[list(b"[{")], _DEPTH_STEP[list(b"]}")] = 1, -1
+# What json.dumps writes for a leaf of exactly these types; others go to it.
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+           bool: lambda flag: "true" if flag else "false"}
 
 
-def _dump(data) -> str:
-    """``json.dumps(data, indent=2)``, byte for byte, but encoded by the C
-    encoder, which ``json`` uses only without ``indent``.
+def _dump(data, depth: int = 0) -> str:
+    """``json.dumps(data, indent=2)``, byte for byte, for ``data`` nested
+    ``depth`` levels deep.
 
-    The compact text is ASCII.  A quote delimits a string unless an odd run
-    of backslashes precedes it.  Outside strings, a newline and two spaces
-    per depth go after each comma and non-empty opening bracket and before
-    each non-empty closing bracket.  Arrays are sized by those characters,
-    except one int8 mask over the output, and temporaries are dropped early,
-    so the traced peak stays below the pure-Python encoder's.
+    Term records (:class:`~lamplighter.groupring.TermRecords`) render
+    themselves from one template per depth.  Dicts, lists and tuples are
+    walked here; keys and leaves are written as ``json.dumps`` writes
+    them, so any data ``json`` accepts comes out as it would from it.
     """
-    text = np.frombuffer(_COMPACT.encode(data).encode("ascii"), dtype=np.uint8)
-    pos = np.flatnonzero(_SPECIAL[text])
-    char = text[pos]
-    # Backslash runs, behind a sentinel that no quote can follow.
-    slashes = np.concatenate(([-2], pos[char == ord("\\")]))
-    run_start = np.where(np.diff(slashes, prepend=-4) != 1, slashes, -4)
-    np.maximum.accumulate(run_start, out=run_start)
-    quotes = pos[char == ord('"')]
-    last = np.searchsorted(slashes, quotes) - 1
-    quotes = quotes[(slashes[last] != quotes - 1) | ((quotes - run_start[last]) % 2 == 0)]
-    pos = pos[(char != ord('"')) & (char != ord("\\"))]
-    inside = np.searchsorted(quotes, pos)
-    inside &= 1
-    pos = pos[inside == 0]
-    del char, inside
-    step = _DEPTH_STEP[text[pos]]
-    depth = np.cumsum(step, dtype=np.int64)
-    empty = np.zeros(len(pos) + 1, dtype=bool)
-    empty[1:-1] = (step[:-1] == 1) & (step[1:] == -1) & (np.diff(pos) == 1)
-    keep = ~(empty[1:] | empty[:-1])
-    # An insertion goes after a comma or an opening bracket, before a closing one.
-    pos += step != -1
-    pos = pos[keep]
-    width = depth[keep]
-    del depth, step, keep, empty
-    width *= 2
-    width += 1
-    start = np.cumsum(width)
-    start -= width
-    start += pos
-    del pos
-    total = len(text) + int(width.sum())
-    out = np.full(total, ord(" "), dtype=np.uint8)
-    out[start] = ord("\n")
-    original = np.zeros(total + 1, dtype=np.int8)
-    original[start] = -1
-    start += width
-    original[start] = 1
-    del start, width
-    np.add.accumulate(original, dtype=np.int8, out=original)
-    original += 1
-    out[original[:-1].view(bool)] = text
-    del original, text
-    return str(out.data, "ascii")
+    if isinstance(data, TermRecords):
+        return data.indented(depth)
+    if isinstance(data, dict):
+        # json.dumps({key: 0}) is '{"key": 0}': json's own key conversion and refusal.
+        parts = [(encode_basestring_ascii(key) + ": " if type(key) is str
+                  else json.dumps({key: 0})[1:-2]) + _dump(value, depth + 1)
+                 for key, value in data.items()]
+        brackets = "{}"
+    elif isinstance(data, (list, tuple)):
+        parts = [_dump(item, depth + 1) for item in data]
+        brackets = "[]"
+    else:
+        return _LEAVES.get(type(data), json.dumps)(data)
+    if not parts:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(parts) + inner[:-2] + brackets[1]
 
 
 def _cmd_mul(args) -> int:

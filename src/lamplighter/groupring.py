@@ -5,6 +5,8 @@ elements with coefficients in a :class:`~lamplighter.ring.ScalarRing`.
 Beyond the ring operations this module provides
 
 * the augmentation map (sum of coefficients),
+* the JSON term records of an element (:class:`TermRecords`), which
+  write themselves indented at any depth,
 * the projection onto the Laurent ring k[x, x^-1] induced by the group
   quotient b * x^n -> x^n, whose kernel is the ideal generated by the
   base group's augmentation ideal,
@@ -24,6 +26,8 @@ Coefficients are stored internally as canonical Python ints for speed;
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -265,12 +269,12 @@ class GroupRingElement(Immutable):
         """True iff the projection onto k[x, x^-1] is zero."""
         return self.project_to_laurent().is_zero()
 
-    def to_json(self) -> list:
+    def to_json(self) -> "TermRecords":
         """Canonically ordered list of {coeff, lamps, shift} term records."""
-        return [{"coeff": self.terms[g],
-                 "lamps": [[p, v] for p, v in g.lamps],
-                 "shift": g.shift}
-                for g in self.support()]
+        return TermRecords([{"coeff": self.terms[g],
+                             "lamps": [[p, v] for p, v in g.lamps],
+                             "shift": g.shift}
+                            for g in self.support()])
 
     def __str__(self) -> str:
         return _signed_sum(self.ring, [("" if g.is_identity() else str(g), self.terms[g])
@@ -278,6 +282,41 @@ class GroupRingElement(Immutable):
 
     def __repr__(self) -> str:
         return f"<GroupRingElement {self} over {self.ring!r}, d={self.group.d}>"
+
+
+class TermRecords(list):
+    """The list that :meth:`GroupRingElement.to_json` returns.  To json,
+    equality and pickle it is a plain list of term records
+    ``{"coeff": c, "lamps": [[p, v], ...], "shift": n}`` with int fields;
+    its type tells a JSON writer that :meth:`indented` may render it.
+    """
+
+    __slots__ = ()
+
+    def indented(self, depth: int) -> str:
+        """``json.dumps(self, indent=2)`` with every line after the first
+        indented by ``depth`` more levels: one ``%`` of :meth:`template`
+        per record.  The records are not checked, since only ``to_json``
+        builds them."""
+        if not self:
+            return "[]"
+        inner, template, out = "\n" + "  " * (depth + 1), self.template, []
+        for rec in self:
+            lamps = rec["lamps"]
+            out.append(template(depth, len(lamps))
+                       % (rec["coeff"], *chain.from_iterable(lamps), rec["shift"]))
+        return "[" + inner + ("," + inner).join(out) + inner[:-2] + "]"
+
+    @staticmethod
+    @lru_cache(maxsize=1024)
+    def template(depth: int, lamps: int) -> str:
+        """The layout of one record with ``lamps`` lamp pairs in a list
+        nested ``depth`` levels deep, with ``%d`` for the coefficient, each
+        position and value, and the shift."""
+        i1, i2, i3, i4 = ("\n" + "  " * (depth + k) for k in range(1, 5))
+        pairs = ("[" + i3 + ("," + i3).join([f"[{i4}%d,{i4}%d{i3}]"] * lamps) + i2 + "]"
+                 if lamps else "[]")
+        return f'{{{i2}"coeff": %d,{i2}"lamps": {pairs},{i2}"shift": %d{i1}}}'
 
 
 class LaurentElement(Immutable):
@@ -341,7 +380,8 @@ class LaurentElement(Immutable):
 
 
 def _digit_dtype(d: int) -> np.dtype:
-    """One byte while the sum of two digits mod d fits, else int64."""
+    """One byte while the sum of two digits fits (d <= 128), else int64,
+    which holds that sum only while 2(d - 1) < 2^63."""
     return np.dtype(np.uint8 if d <= 128 else np.int64)
 
 
@@ -542,10 +582,12 @@ def _runs_coded(left: GroupRingElement, right: GroupRingElement) -> bool:
 
     Each product g h arises once per g, so no coefficient sum has more
     than min(|left|, |right|) terms, and it is reduced mod m in int64.
-    Positions and shifts stay below 2^60 (see :func:`coded_width`).
+    The sum of two lamp digits, up to 2(d - 1), stays below 2^63, and
+    positions and shifts below 2^60 (see :func:`coded_width`).
     """
     pairs = len(left) * len(right)
     if (pairs < CODED_PRODUCT_PAIRS or left.ring.modulus >= 2 ** 63
+            or 2 * (left.group.d - 1) >= 2 ** 63
             or max(map(abs, left.terms.values())) * max(map(abs, right.terms.values()))
             * min(len(left), len(right)) >= 2 ** 63):
         return False

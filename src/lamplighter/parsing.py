@@ -34,10 +34,15 @@ from .groupring import GroupRing, GroupRingElement
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup
 
 _PUNCT = set("^*()[],+-")
+_DIGITS = set("0123456789")
 
 
 class _Tokens:
-    """Tokenizer: names, integers and punctuation, with positions."""
+    """Tokenizer: names, integers and punctuation, with positions.
+
+    Integers are ASCII digits only; one too long for ``int`` to convert
+    is a :class:`ParseError` at its position.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -52,12 +57,17 @@ class _Tokens:
                 # letters like "ax" tokenize separately
                 self.toks.append(("name", ch, i))
                 i += 1
-            elif ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()
-                                  and self._after_power()):
+            elif ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS
+                                   and self._after_power()):
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
-                self.toks.append(("int", int(text[i:j]), i))
+                try:
+                    value = int(text[i:j])
+                except ValueError:
+                    raise ParseError(f"integer of {j - i} characters is too long to read",
+                                     i) from None
+                self.toks.append(("int", value, i))
                 i = j
             elif ch in _PUNCT:
                 self.toks.append((ch, ch, i))

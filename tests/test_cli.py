@@ -162,6 +162,12 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "mul", "--d", "2", "1 - a[0", "1")
     assert code == 2
     assert "parse error" in err
+    # non-ASCII digits and literals too long to convert are parse errors too
+    for argv in (["mul", "a^\u00b2", "e"], ["mul", "a^" + "9" * 5000, "e"],
+                 ["fox", "x^\u0663", "a"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and err.endswith("(at position 2)\n")
 
 
 def test_limit_exit_code(capsys):
@@ -426,13 +432,20 @@ def test_parser_is_built_once_and_shared(capsys):
     assert run_cli(capsys, "mul", "a", "a") == (0, "1\n", "")
 
 
-# Strings built from the characters the re-indent pass must see through.
+# Strings built from JSON's structural characters and escapes.
 _STRINGS = st.lists(st.sampled_from(['"', "\\", '\\"', '\\\\"', "[]{},", ": ", "\n\t\x00\x1f",
                                      "\u00e9", "\u2028", "\U0001f600"]) | st.text(max_size=4),
                     max_size=6).map("".join)
+_NUMBERS = st.integers() | st.integers(min_value=2 ** 64) | st.floats() | st.booleans()
+# Term records in plain lists, with fields of the wrong type or shape:
+# a bool, float or huge coefficient, lamps of 3 entries or a bool, an extra key.
+_TERM_LOOKALIKES = st.lists(st.fixed_dictionaries(
+    {"coeff": _NUMBERS,
+     "lamps": st.lists(st.lists(_NUMBERS, min_size=2, max_size=3) | st.booleans(), max_size=3),
+     "shift": _NUMBERS},
+    optional={"extra": st.none() | _STRINGS}), max_size=3)
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64) | st.floats()
-    | _STRINGS,
+    st.none() | _NUMBERS | _STRINGS | _TERM_LOOKALIKES,
     lambda children: st.lists(children, max_size=4) | st.dictionaries(_STRINGS, children,
                                                                        max_size=4),
     max_leaves=30)
@@ -441,6 +454,19 @@ _JSON = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON)
 def test_dump_matches_json_dumps_indent_2(data):
+    assert _dump(data) == json.dumps(data, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(st.sampled_from(("dict", "list")), max_size=4))
+def test_dump_matches_json_dumps_on_term_records_at_any_depth(rng, wrappers):
+    # GroupRingElement.to_json, nested inside dicts and lists: zero
+    # elements, lamp-free terms and coefficients past int64 included.
+    algebra = GroupRing(ScalarRing(rng.choice((0, 2, 3, 4))), WreathGroup(rng.choice((2, 3, 7))))
+    data = algebra.random_element(rng, terms=rng.randint(0, 4), lamp_bound=rng.randint(0, 2),
+                                  coeff_bound=rng.choice((3, 2 ** 70))).to_json()
+    for wrapper in wrappers:
+        data = {"terms": data, "next": []} if wrapper == "dict" else [0, data, data]
     assert _dump(data) == json.dumps(data, indent=2)
 
 
@@ -465,8 +491,9 @@ def test_dump_is_byte_identical_on_large_outputs(rank_7_payload, capsys):
 
 
 def test_dump_memory_stays_below_json_dumps(rank_7_payload):
-    # Traced peaks on the rank-7 payload: 2.5 MB for _dump, all of it the C
-    # encoder's, against 4.5 MB for json.dumps(indent=2) (Python 3.11, numpy 2.4).
+    # Traced peaks on the rank-7 payload: 2.0 MB for _dump, the term strings
+    # and two copies of the text, against 4.5 MB for json.dumps(indent=2)
+    # (Python 3.11).
     peaks = []
     for dump in (_dump, lambda data: json.dumps(data, indent=2)):
         tracemalloc.start()

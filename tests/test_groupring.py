@@ -486,6 +486,19 @@ def test_coded_product_leaves_moduli_past_int64_to_the_dict_loop(coded_calls):
     check_product(left, right.scale(2 ** 64 - 1), coded_calls, False)
 
 
+@pytest.mark.parametrize("d,coded", [(2 ** 62, True), (2 ** 62 + 1, False),
+                                     (2 ** 63 + 1, False)])
+def test_coded_product_leaves_lamp_orders_past_int64_to_the_dict_loop(d, coded, coded_calls):
+    # 16 x 16 pairs whose lamp digits d - 1 and d - 2 add up in the kernel:
+    # exact while 2(d - 1) < 2^63, past that the dict loop runs, and a d
+    # past int64 does not raise.
+    group = WreathGroup(d)
+    algebra = GroupRing(INTEGERS, group)
+    left = algebra.element([(group.element({0: d - 1, i + 1: 1}), 1) for i in range(16)])
+    right = algebra.element([(group.element({0: d - 1 - i % 2}, i), 1) for i in range(16)])
+    check_product(left, right, coded_calls, coded)
+
+
 def test_coded_product_memory_bound(coded_calls, monkeypatch):
     # 8 x 64 pairs on 8 positions: estimated at 512 * (8 * (1 + 3) + 64)
     # bytes, past the bound by one byte the dict loop runs.

@@ -72,6 +72,11 @@ def test_word_parse_errors_carry_positions():
         parse_word("(a))")
     with pytest.raises(ParseError):
         parse_word("a^x")
+    # ASCII digits only; a literal past int's conversion limit is refused where it starts
+    for text, position in (("a^\u00b2", 2), ("x^\u0663", 2), ("a^" + "9" * 5000, 2)):
+        with pytest.raises(ParseError) as info:
+            parse_word(text)
+        assert info.value.position == position
 
 
 def test_element_grammar():
@@ -101,6 +106,11 @@ def test_element_parse_errors():
         parse_element("a[0]]", G2)
     with pytest.raises(ParseError):
         parse_element("", G2)
+    for text, position in (("a^\u00b2", 2), ("x^\u0663", 2), ("a^" + "9" * 5000, 2),
+                           ("a[-" + "1" * 4400 + "]", 2)):
+        with pytest.raises(ParseError) as info:
+            parse_element(text, G2)
+        assert info.value.position == position
 
 
 def test_ring_element_grammar():
@@ -134,3 +144,8 @@ def test_ring_element_parse_errors():
         parse_ring_element("a[0] a[1]", ZG2)
     with pytest.raises(ParseError):
         parse_ring_element("1 - - 2", ZG2)
+    for text, position in (("a^\u00b2", 2), ("\u0663*x", 0), ("1 + " + "7" * 4400, 4),
+                           ("a[-" + "1" * 4400 + "]", 2)):
+        with pytest.raises(ParseError) as info:
+            parse_ring_element(text, ZG2)
+        assert info.value.position == position
