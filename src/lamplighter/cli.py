@@ -50,52 +50,56 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--d", type=int, default=2, help="lamp order d >= 2")
-    sub.add_argument("--mod", type=int, default=0,
-                     help="coefficient modulus; 0 means the integers.  ore-search "
-                          "and reduce-b2 need a provable prime (reduce-b2 also --mod "
-                          "equal to --d)")
-    sub.add_argument("--L", type=int, default=6, dest="relator_bound",
-                     help="highest relator index for truncated checks")
-    sub.add_argument("--N", type=int, default=None, dest="depth",
-                     help="certificate depth (highest z index)")
-    sub.add_argument("--window-lamps", type=int, default=1,
-                     help="lamp-position bound of the search window")
-    sub.add_argument("--window-shift", type=int, default=1,
-                     help="shift bound of the search window")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                     help="enumeration cap on the window elements of ore-search, the "
-                          "powers of a in a certificate's u and the lamp subgroup behind "
-                          "its gamma, the subgroup closure of annihilate, and the "
-                          "letters of the words of fox and relator and of the "
-                          "relators that selftest differentiates")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for the randomized selftest checks")
-    sub.add_argument("--format", choices=("text", "json"), default="text",
-                     help="output format")
-    sub.add_argument("--out", default=None, help="output file (default stdout)")
+# The arguments of every subcommand, as add_argument keywords.
+_ARGUMENTS = {
+    "left": {}, "right": {}, "word": {}, "symbol": {}, "index": {"type": int},
+    "elements": {"nargs": "+"}, "element": {},
+    "--z": {"required": True, "help": "z_0;z_1;...;z_N as group-ring elements"},
+    "--d": {"type": int, "default": 2, "help": "lamp order d >= 2"},
+    "--mod": {"type": int, "default": 0,
+              "help": "coefficient modulus; 0 means the integers.  ore-search and "
+                      "reduce-b2 need a provable prime (reduce-b2 also --mod equal to --d)"},
+    "--L": {"type": int, "default": 6, "help": "highest relator index for truncated checks"},
+    "--window-lamps": {"type": int, "default": 1,
+                       "help": "lamp-position bound of the search window"},
+    "--window-shift": {"type": int, "default": 1, "help": "shift bound of the search window"},
+    "--cap": {"type": int, "default": DEFAULT_CAP,
+              "help": "enumeration cap on the window elements of ore-search, the powers "
+                      "of a in a certificate's u and the lamp subgroup behind its gamma, "
+                      "the subgroup closure of annihilate, and the letters of the words "
+                      "of fox and relator and of the relators that selftest differentiates"},
+    "--seed": {"type": int, "default": 0, "help": "seed for the randomized selftest checks"},
+    "--format": {"choices": ("text", "json"), "default": "text", "help": "output format"},
+    "--out": {"help": "output file (default stdout)"},
+}
+# The least value of each integer flag; --mod also takes 0, the integers.
+_LEAST = {"--d": 2, "--mod": 2, "--L": 0, "--window-lamps": 0, "--window-shift": 0,
+          "--cap": 1}
 
 
-def _validate(args) -> GroupRing:
-    """Check the common parameters (ConfigError, exit code 4, on the first
-    bad one) and return the group ring that --mod and --d name."""
-    if args.depth is not None and args.depth < 0:
-        raise ConfigError(f"--N must be >= 0, got {args.depth}")
-    if args.d < 2:
-        raise ConfigError(f"--d must be >= 2, got {args.d}")
-    if args.mod != 0 and args.mod < 2:
-        raise ConfigError(f"--mod must be 0 (integers) or >= 2, got {args.mod}")
-    if args.relator_bound < 0:
-        raise ConfigError(f"--L must be >= 0, got {args.relator_bound}")
-    if args.window_lamps < 0 or args.window_shift < 0:
-        raise ConfigError("window bounds must be >= 0")
-    if args.cap < 1:
-        raise ConfigError(f"--cap must be >= 1, got {args.cap}")
+def _validate(args) -> None:
+    """Refuse (ConfigError, exit code 4) the first integer flag of the
+    subcommand below its least value."""
+    for flag, least in _LEAST.items():
+        value = getattr(args, flag[2:].replace("-", "_"), least)
+        if value < least and not (flag == "--mod" and value == 0):
+            rule = "0 (integers) or >= 2" if flag == "--mod" else f">= {least}"
+            raise ConfigError(f"{flag} must be {rule}, got {value}")
+
+
+def _algebra(args) -> GroupRing:
+    """The group ring that --mod and --d name."""
     return GroupRing(ScalarRing(args.mod), WreathGroup(args.d))
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, render) -> None:
+    """Write ``render()`` to --out or stdout.  An integer too long for
+    ``str`` (more than ``sys.get_int_max_str_digits()`` digits) is a limit,
+    refused before anything is written."""
+    try:
+        text = render()
+    except ValueError as exc:
+        raise LimitExceededError(f"cannot print the result: {exc}") from exc
     if args.out is None:
         sys.stdout.write(text + "\n")
         return
@@ -118,7 +122,9 @@ def _dump(data, depth: int = 0) -> str:
     Term records (:class:`~lamplighter.groupring.TermRecords`) render
     themselves from one template per depth.  Dicts, lists and tuples are
     walked here; keys and leaves are written as ``json.dumps`` writes
-    them, so any data ``json`` accepts comes out as it would from it.
+    them, so any data ``json`` accepts comes out as it would from it.  With
+    ``indent``, ``json`` runs its pure-Python encoder, about 7x slower on
+    the rank-7 annihilator.
     """
     if isinstance(data, TermRecords):
         return data.indented(depth)
@@ -140,81 +146,75 @@ def _dump(data, depth: int = 0) -> str:
 
 
 def _cmd_mul(args) -> int:
-    algebra = _validate(args)
+    algebra = _algebra(args)
     product = parse_ring_element(args.left, algebra) * parse_ring_element(args.right, algebra)
-    _emit(args, _dump(product.to_json()) if args.format == "json" else str(product))
+    _emit(args, lambda: _dump(product.to_json()) if args.format == "json" else str(product))
     return EXIT_OK
 
 
 def _cmd_fox(args) -> int:
-    algebra = _validate(args)
+    algebra = _algebra(args)
     if args.symbol not in foxwords.GENERATOR_SYMBOLS:
         raise ConfigError(f"symbol must be 'a' or 'x', got {args.symbol!r}")
     derivative = foxwords.fox_derivative(foxwords.parse_word(args.word, args.cap),
                                          args.symbol, algebra)
-    _emit(args, _dump(derivative.to_json()) if args.format == "json" else str(derivative))
+    _emit(args, lambda: _dump(derivative.to_json()) if args.format == "json"
+          else str(derivative))
     return EXIT_OK
 
 
 def _cmd_relator(args) -> int:
-    _validate(args)
     if args.index < 0:
         raise ConfigError(f"relator index must be >= 0, got {args.index}")
     word = foxwords.relator_word(args.d, args.index, args.cap)
     payload = {"d": args.d, "index": args.index, "word": str(word)}
-    _emit(args, _dump(payload) if args.format == "json" else str(word))
+    _emit(args, lambda: _dump(payload) if args.format == "json" else str(word))
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
-    algebra = _validate(args)
+    algebra = _algebra(args)
     entries = [parse_ring_element(part.strip(), algebra) for part in args.z.split(";")]
-    if args.depth is not None and args.depth != len(entries) - 1:
-        raise ConfigError(
-            f"--N {args.depth} does not match the {len(entries)} z entries given")
     cert = certificates.certify(certificates.RelatorCoefficients(entries), cap=args.cap)
-    if args.format == "json":
-        _emit(args, _dump(cert.to_json()))
-    else:
-        status = "verified" if cert.verified else "FAILED"
-        _emit(args, f"u = {cert.u}\ngamma = {cert.gamma}\n"
-                    f"u*gamma = {cert.product}\n{status}")
+    status = "verified" if cert.verified else "FAILED"
+    _emit(args, lambda: _dump(cert.to_json()) if args.format == "json" else
+          f"u = {cert.u}\ngamma = {cert.gamma}\nu*gamma = {cert.product}\n{status}")
     return EXIT_OK if cert.verified else EXIT_FAILED
 
 
+def _ore_search_text(args, report) -> str:
+    lines = [f"window lamps<={args.window_lamps} shift<={args.window_shift}: "
+             f"{report.nullspace_dim} basis solutions, verdict {report.verdict}"]
+    for rec in report.solutions:
+        witness = rec.annihilator if rec.annihilator is not None else "none found"
+        lines.append(f"  sigma = {rec.sigma} | in base ideal: {rec.in_base_ideal} "
+                     f"| annihilator: {witness}")
+    return "\n".join(lines)
+
+
 def _cmd_ore_search(args) -> int:
-    algebra = _validate(args)
+    algebra = _algebra(args)
     window = oresearch.Window(args.window_lamps, args.window_shift)
     report = oresearch.run_search(algebra, window, cap=args.cap)
-    if args.format == "json":
-        _emit(args, _dump(report.to_json()))
-    else:
-        lines = [f"window lamps<={args.window_lamps} shift<={args.window_shift}: "
-                 f"{report.nullspace_dim} basis solutions, verdict {report.verdict}"]
-        for rec in report.solutions:
-            witness = rec.annihilator if rec.annihilator is not None else "none found"
-            lines.append(f"  sigma = {rec.sigma} | in base ideal: {rec.in_base_ideal} "
-                         f"| annihilator: {witness}")
-        _emit(args, "\n".join(lines))
+    _emit(args, lambda: _dump(report.to_json()) if args.format == "json"
+          else _ore_search_text(args, report))
     return EXIT_OK if report.verdict == "consistent" else EXIT_FAILED
 
 
 def _cmd_annihilate(args) -> int:
-    algebra = _validate(args)
+    algebra = _algebra(args)
     alphas = [parse_ring_element(text, algebra) for text in args.elements]
     beta = certificates.finite_subgroup_annihilator(alphas, algebra, cap=args.cap)
     ok = bool(beta) and all((beta * alpha).is_zero() for alpha in alphas)
-    if args.format == "json":
-        _emit(args, _dump({"beta": beta.to_json(), "verified": ok}))
-    else:
-        _emit(args, f"beta = {beta}\n{'verified' if ok else 'FAILED'}")
+    _emit(args, lambda: _dump({"beta": beta.to_json(), "verified": ok})
+          if args.format == "json" else f"beta = {beta}\n{'verified' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_FAILED
 
 
 def _cmd_reduce_b2(args) -> int:
-    algebra = _validate(args)
+    algebra = _algebra(args)
     vector = certificates.reduce_mod_ideal_square(parse_ring_element(args.element, algebra))
-    _emit(args, _dump(vector.to_json()) if args.format == "json" else str(vector))
+    _emit(args, lambda: _dump(vector.to_json()) if args.format == "json" else str(vector))
     return EXIT_OK
 
 
@@ -246,7 +246,7 @@ def _selftest_checks(args):
             algebra = GroupRing(ScalarRing(modulus), WreathGroup(args.d))
             for _ in range(25):
                 comps = {l: algebra.random_element(rng, terms=2, lamp_bound=1, shift_bound=1)
-                         for l in rng.sample(range(args.relator_bound + 1), 2)}
+                         for l in rng.sample(range(args.L + 1), min(2, args.L + 1))}
                 z = foxwords.ModuleVector(algebra, "relators", comps)
                 image = foxwords.boundary_from_relators(z, args.cap)
                 if not foxwords.boundary_from_generators(image).is_zero():
@@ -274,7 +274,6 @@ def _selftest_checks(args):
 
 
 def _cmd_selftest(args) -> int:
-    _validate(args)
     lines = []
     all_ok = True
     for name, check in _selftest_checks(args):
@@ -282,8 +281,31 @@ def _cmd_selftest(args) -> int:
         all_ok = all_ok and ok
         lines.append(f"{'ok' if ok else 'FAIL'}: {name}")
     lines.append("selftest passed" if all_ok else "selftest FAILED")
-    _emit(args, "\n".join(lines))
+    _emit(args, lambda: "\n".join(lines))
     return EXIT_OK if all_ok else EXIT_FAILED
+
+
+# Each subcommand: its handler, its help and the arguments its handler reads.
+_COMMANDS = {
+    "mul": (_cmd_mul, "multiply two group-ring elements exactly",
+            "left right --d --mod --format --out"),
+    "fox": (_cmd_fox, "Fox derivative of a word w.r.t. 'a' or 'x'",
+            "word symbol --d --mod --cap --format --out"),
+    "relator": (_cmd_relator, "print the defining relator r_l",
+                "index --d --cap --format --out"),
+    "certify": (_cmd_certify, "build and verify a zerodivisor certificate from "
+                              "';'-separated z entries",
+                "--z --d --mod --cap --format --out"),
+    "ore-search": (_cmd_ore_search, "solve (1-a) sigma = (1-x) alpha on a window over GF(p)",
+                   "--d --mod --window-lamps --window-shift --cap --format --out"),
+    "annihilate": (_cmd_annihilate, "finite-subgroup annihilator of base-ideal elements",
+                   "elements --d --mod --cap --format --out"),
+    "reduce-b2": (_cmd_reduce_b2, "lamp-exponent reduction of an augmentation-zero "
+                                  "base element (GF(p), d = p)",
+                  "element --d --mod --format --out"),
+    "selftest": (_cmd_selftest, "run the built-in verification checks",
+                 "--d --mod --L --cap --seed --out"),
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -294,54 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "products, Fox derivatives, zerodivisor "
                                  "certificates and Ore-condition window searches.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("mul", help="multiply two group-ring elements exactly")
-    sub.add_argument("left")
-    sub.add_argument("right")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_mul)
-
-    sub = subs.add_parser("fox", help="Fox derivative of a word w.r.t. 'a' or 'x'")
-    sub.add_argument("word")
-    sub.add_argument("symbol")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_fox)
-
-    sub = subs.add_parser("relator", help="print the defining relator r_l")
-    sub.add_argument("index", type=int)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_relator)
-
-    sub = subs.add_parser("certify",
-                          help="build and verify a zerodivisor certificate from "
-                               "';'-separated z entries")
-    sub.add_argument("--z", required=True,
-                     help="z_0;z_1;...;z_N as group-ring elements")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_certify)
-
-    sub = subs.add_parser("ore-search",
-                          help="solve (1-a) sigma = (1-x) alpha on a window over GF(p)")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_ore_search)
-
-    sub = subs.add_parser("annihilate",
-                          help="finite-subgroup annihilator of base-ideal elements")
-    sub.add_argument("elements", nargs="+")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_annihilate)
-
-    sub = subs.add_parser("reduce-b2",
-                          help="lamp-exponent reduction of an augmentation-zero "
-                               "base element (GF(p), d = p)")
-    sub.add_argument("element")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_reduce_b2)
-
-    sub = subs.add_parser("selftest", help="run the built-in verification checks")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_selftest)
-
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for argument in arguments.split():
+            sub.add_argument(argument, **_ARGUMENTS[argument])
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -349,6 +328,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _validate(args)
         return args.handler(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -189,7 +189,8 @@ def lamp_span(group: WreathGroup, generators: Iterable[Lamps], cap: int) -> list
     generator g modulo the span S so far, the disjoint cosets S*g, ...,
     S*g^(m-1) are appended in order.  While g^m lies outside S the span
     has at least (m + 1) * |S| members; that count is checked against
-    ``cap`` before each further power, so the cap bounds the work for any d."""
+    ``cap`` before each further power, so the cap bounds the work for any d
+    and refuses exactly the spans of more than ``cap`` members."""
     members, seen = [group.identity], {()}      # seen: the lamps of the members
     for lamps in generators:
         g = power = WreathElement(group, lamps, 0)
