@@ -3,20 +3,21 @@
 Central construction: from any coefficient vector z_0..z_N of group-ring
 elements, form
 
-    u = z_0 (1 + a + ... + a^(d-1))
-        + sum_{n=1..N} z_n x^n (x^-n a x^n - 1) - z_n (x^n a x^-n - 1),
+    u = sum_{l=0..N} z_l dr_l/da,
 
-the generator-a component of the relator boundary map applied to z.  Let
-C be the subgroup of the base group spanned by the lamps at positions
+the generator-a component of the relator boundary map applied to z, read
+from the cached Fox derivatives of :mod:`~lamplighter.foxwords`:
+dr_0/da = 1 + a + ... + a^(d-1) and dr_l/da = x^l (a[-l] - 1) - (a[l] - 1).
+Let C be the subgroup of the base group spanned by the lamps at positions
 1 <= |n| <= N and set
 
     gamma = (1 - a) * sum_{c in C} c.
 
-Then gamma != 0 and u * gamma = 0 always: every factor x^n a x^-n - 1
-kills the C-sum because C is closed under those lamps, and the a-power
-sum kills 1 - a because a^d = 1.  The pair (u, gamma) is therefore a
-self-contained certificate that u is a left zerodivisor, checkable by a
-single convolution.
+Then gamma != 0 and u * gamma = 0 always: a[l] - 1 and a[-l] - 1 kill the
+C-sum because C contains those lamps, and the a-power sum kills 1 - a
+because a^d = 1.  The pair (u, gamma) is therefore a self-contained
+certificate that u is a left zerodivisor, checkable by a single
+convolution.
 
 Also here: the annihilator of finitely many elements of the base
 augmentation ideal by a finite-subgroup sum, and the linearization of
@@ -30,6 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import (NotInAugmentationIdealError, RingMismatchError, SupportError,
                      UnsupportedRingError)
+from .foxwords import relator_fox_derivative
 from .groupring import GroupRing, GroupRingElement, lamp_configurations
 from .ring import Immutable, ScalarRing
 from .wreath import DEFAULT_CAP, WreathElement, WreathGroup, lamp_span
@@ -77,19 +79,13 @@ class RelatorCoefficients(Immutable):
 
 def zerodivisor_from_coefficients(z: RelatorCoefficients,
                                   cap: int = DEFAULT_CAP) -> GroupRingElement:
-    """Assemble u from z_0..z_N by the displayed formula, term by term.  The
-    powers 1, a, ..., a^(d-1) come from the lamp enumerator, and only for
-    z_0 != 0, so ``cap`` refuses d > cap before any of them is built."""
-    algebra = z.algebra
-    group = algebra.group
-    a = algebra.monomial(group.generator_a(0))
-    one = algebra.one
-    powers = lamp_configurations(group, [0], (0,), cap).decode() if z[0] else []
-    u = z[0] * algebra.element([(b, 1) for b in powers])
-    for n in range(1, len(z)):
-        xn = algebra.monomial(group.generator_x(n))
-        xmn = algebra.monomial(group.generator_x(-n))
-        u = u + z[n] * (xn * (xmn * a * xn - one)) - z[n] * (xn * a * xmn - one)
+    """u = sum of z_l dr_l/da, read from the cached Fox derivatives; only the
+    r_l with z_l != 0 are spelled, each under ``cap`` letters (r_0 = a^d has
+    d letters, r_l has 4l + 4)."""
+    u = z.algebra.zero
+    for l, zl in enumerate(z.entries):
+        if zl:
+            u = u + zl * relator_fox_derivative(z.algebra, l, "a", cap)
     return u
 
 
@@ -176,9 +172,10 @@ class Certificate(Immutable):
 
 
 def certify(z: RelatorCoefficients, cap: int = DEFAULT_CAP) -> Certificate:
-    """Build u and gamma from z and verify u * gamma = 0 by convolution."""
-    u = zerodivisor_from_coefficients(z, cap)
+    """Build gamma, then u (so the lamp-subgroup count refuses a deep z
+    first), and verify u * gamma = 0 by convolution."""
     gamma = right_annihilator(z.depth, z.algebra, cap)
+    u = zerodivisor_from_coefficients(z, cap)
     return Certificate(z, u, gamma, u * gamma)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -64,10 +65,11 @@ _ARGUMENTS = {
                        "help": "lamp-position bound of the search window"},
     "--window-shift": {"type": int, "default": 1, "help": "shift bound of the search window"},
     "--cap": {"type": int, "default": DEFAULT_CAP,
-              "help": "enumeration cap on the window elements of ore-search, the powers "
-                      "of a in a certificate's u and the lamp subgroup behind its gamma, "
-                      "the subgroup closure of annihilate, and the letters of the words "
-                      "of fox and relator and of the relators that selftest differentiates"},
+              "help": "enumeration cap on the window elements of ore-search, the lamp "
+                      "subgroup behind a certificate's gamma, the subgroup closure of "
+                      "annihilate, and the letters of the words of fox and relator, of "
+                      "each relator r_l with z_l != 0 that certify reads its u from, and "
+                      "of the relators that selftest differentiates"},
     "--seed": {"type": int, "default": 0, "help": "seed for the randomized selftest checks"},
     "--format": {"choices": ("text", "json"), "default": "text", "help": "output format"},
     "--out": {"help": "output file (default stdout)"},
@@ -75,6 +77,21 @@ _ARGUMENTS = {
 # The least value of each integer flag; --mod also takes 0, the integers.
 _LEAST = {"--d": 2, "--mod": 2, "--L": 0, "--window-lamps": 0, "--window-shift": 0,
           "--cap": 1}
+
+
+def _refuse_unread_flags(argv) -> None:
+    """Refuse (ConfigError, exit code 4) the first ``--flag`` before a lone
+    ``--`` that subcommand ``argv[0]`` does not read; argparse may take its
+    value as a positional first and name that.  As in argparse, a prefix of
+    a read flag is that flag and a token with a space is a value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return
+    flags = _COMMANDS[argv[0]][2].split() + ["--help"]
+    for token in itertools.takewhile(lambda arg: arg != "--", argv[1:]):
+        flag = token.split("=", 1)[0]
+        if token.startswith("--") and " " not in token and \
+                not any(known.startswith(flag) for known in flags):
+            raise ConfigError(f"unrecognized arguments: {flag}")
 
 
 def _validate(args) -> None:
@@ -222,22 +239,20 @@ def _selftest_checks(args):
     rng = random.Random(args.seed)
 
     def closed_fox_forms():
+        # The cached table that certify's u is read from, under --cap.
         for d in (2, 3, 4, 5):
             algebra = GroupRing(ScalarRing(args.mod), WreathGroup(d))
             group = algebra.group
             a = algebra.monomial(group.generator_a(0))
             one = algebra.one
-            if foxwords.fox_derivative(foxwords.relator_word(d, 0), "a",
-                                       algebra) != algebra.geometric_a(d):
+            if foxwords.relator_fox_derivative(algebra, 0, "a",
+                                               args.cap) != algebra.geometric_a(d):
                 return False
             for l in range(1, 6):
                 xl = algebra.monomial(group.generator_x(l))
                 al = algebra.monomial(group.generator_a(l))
-                expected = one + a * xl - al - xl
-                lhs = foxwords.fox_derivative(foxwords.relator_word(d, l), "a", algebra)
-                xml = algebra.monomial(group.generator_x(-l))
-                simplified = xl * (xml * a * xl - one) - (xl * a * xml - one)
-                if lhs != expected or lhs != simplified:
+                if foxwords.relator_fox_derivative(algebra, l, "a",
+                                                   args.cap) != one + a * xl - al - xl:
                     return False
         return True
 
@@ -327,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        _refuse_unread_flags(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         _validate(args)
         return args.handler(args)

@@ -133,9 +133,10 @@ def relator_word(d: int, l: int, cap: int = DEFAULT_CAP) -> FreeWord:
     return parse_word(f"a^{d}" if l == 0 else f"[a, x^{l} a x^-{l}]", cap)
 
 
-# One entry per (ring, relator index l, symbol, cap): four rings with
-# l <= 8 take 72 at one cap.  The bound leaves ample room and keeps a long
-# process bounded.
+# One entry per (ring, relator index l, symbol, cap).  At one cap, four
+# rings with l <= 8 and both symbols take 72; certify's u on eight rings
+# with l <= 4 takes 40 (symbol a only); a default selftest takes 59.  The
+# bound leaves ample room and keeps a long process bounded.
 @lru_cache(maxsize=1024)
 def relator_fox_derivative(algebra: GroupRing, l: int, symbol: str,
                            cap: int = DEFAULT_CAP) -> GroupRingElement:

@@ -210,17 +210,11 @@ def _parse_element_body(t: _Tokens, group: WreathGroup) -> WreathElement:
     if t.peek() == "name" and t.peek_value() == "e":
         t.take("name")
         return group.identity
-    out = group.identity
-    expect_atom = True
-    while True:
-        if expect_atom:
-            out = out * _parse_element_atom(t, group)
-            expect_atom = False
-        elif t.peek() == "*":
-            t.take("*")
-            expect_atom = True
-        else:
-            return out
+    out = _parse_element_atom(t, group)
+    while t.peek() == "*":
+        t.take("*")
+        out = out * _parse_element_atom(t, group)
+    return out
 
 
 def _parse_element_atom(t: _Tokens, group: WreathGroup) -> WreathElement:

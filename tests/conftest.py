@@ -8,6 +8,7 @@ The oracles here deliberately avoid the code paths they check:
   a lamp configuration instead of the packaged normal-form law;
 * group-ring products are accumulated by a bare double loop over term
   pairs;
+* certify's u is expanded from its closed form, with no Fox calculus;
 * division by 1 - x is done by peeling shift slices, with no matrices;
 * lamp configurations are listed by ``itertools.product`` and sorted by
   ``sort_key``, with no digit arithmetic.
@@ -56,6 +57,42 @@ def convolve(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
             k = g * h
             acc[k] = acc.get(k, 0) + c * e
     return u.algebra.element(acc.items())
+
+
+def tau(u: GroupRingElement) -> GroupRingElement:
+    """The anti-automorphism of kG that fixes a and x: b*x^n goes to the
+    element with the same shift whose lamp at position p sits at n - p."""
+    group = u.group
+    return u.algebra.element([(group.element({g.shift - p: v for p, v in g.lamps}, g.shift), c)
+                              for g, c in u.terms.items()])
+
+
+def is_balanced(sigma: GroupRingElement) -> bool:
+    """True when, for each shift, sigma's coefficients summed over the
+    terms with lamp-0 value v are the same for every v in Z/d."""
+    sums: dict[tuple[int, int], int] = {}
+    for g, c in sigma.terms.items():
+        key = (g.shift, dict(g.lamps).get(0, 0))
+        sums[key] = sums.get(key, 0) + c
+    canon = sigma.ring.canon
+    return all(len({canon(sums.get((n, v), 0)) for v in range(sigma.group.d)}) == 1
+               for n, _ in sums)
+
+
+def certificate_u_reference(entries) -> GroupRingElement:
+    """Oracle for certify's u from z_0..z_N, with no Fox calculus: z_0
+    times 1 + a + ... + a^(d-1), plus z_l (1 + a x^l - a[l] - x^l) for
+    each l >= 1, each product by ``convolve``."""
+    algebra = entries[0].algebra
+    group = algebra.group
+    factors = [[(group.element({0: i}), 1) for i in range(group.d)]]
+    factors += [[(group.identity, 1), (group.element({0: 1}, l), 1),
+                 (group.element({l: 1}), -1), (group.element({}, l), -1)]
+                for l in range(1, len(entries))]
+    out = algebra.zero
+    for z, factor in zip(entries, factors):
+        out = out + convolve(z, algebra.element(factor))
+    return out
 
 
 def configurations_reference(group: WreathGroup, positions, shifts) -> list[WreathElement]:

@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
-from conftest import (configurations_reference, convolve, random_base_ideal_element,
-                      random_ring_element, time_limit)
+from conftest import (certificate_u_reference, configurations_reference, convolve,
+                      is_balanced, random_base_ideal_element, random_ring_element, tau,
+                      time_limit)
 from lamplighter.certificates import (Certificate, LampVector, RelatorCoefficients,
                                       certify, finite_subgroup_annihilator,
                                       lamp_subgroup, reduce_mod_ideal_square,
@@ -32,7 +33,8 @@ def test_u_with_only_z0():
 
 
 def test_u_matches_relator_boundary_component():
-    # independent assembly through the Fox-calculus boundary map
+    # u is read from the Fox derivative table; the oracle expands its
+    # closed form with no Fox calculus.
     rng = random.Random(61)
     for algebra in (ZG2, F3G3):
         for _ in range(1000):
@@ -42,8 +44,9 @@ def test_u_matches_relator_boundary_component():
             z = RelatorCoefficients(entries)
             vector = ModuleVector(algebra, "relators",
                                   {l: entries[l] for l in range(depth + 1)})
-            assert zerodivisor_from_coefficients(z) == \
-                boundary_from_relators(vector).component("a")
+            u = zerodivisor_from_coefficients(z)
+            assert u == certificate_u_reference(entries)
+            assert u == boundary_from_relators(vector).component("a")
 
 
 def test_annihilator_depth_zero():
@@ -82,6 +85,54 @@ def test_annihilator_equals_the_convolution(d, field):
     for depth in range(4):
         subgroup_sum = algebra.element([(c, 1) for c in lamp_subgroup(algebra.group, depth)])
         assert right_annihilator(depth, algebra) == convolve(one_minus_a, subgroup_sum)
+
+
+RINGS = [0, 4, 2, 3, 5]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("modulus", RINGS)
+def test_tau_of_u_solves_the_ore_equation_and_is_balanced(d, modulus):
+    # u (a - 1) + v (x - 1) = 0 with v = sum z_l dr_l/dx (the fundamental
+    # identity), and tau reverses products: (1 - a) tau(u) = (1 - x)(-tau(v)).
+    algebra = GroupRing(ScalarRing(modulus), WreathGroup(d))
+    group = algebra.group
+    one_minus_a = algebra.one - algebra.monomial(group.generator_a(0))
+    one_minus_x = algebra.one - algebra.monomial(group.generator_x(1))
+    rng = random.Random(10 * d + modulus)
+    for _ in range(8):
+        entries = [random_ring_element(rng, algebra, terms=2, lamp_bound=1, shift_bound=1)
+                   for _ in range(rng.randint(1, 4))]
+        u = zerodivisor_from_coefficients(RelatorCoefficients(entries))
+        v = boundary_from_relators(ModuleVector(algebra, "relators",
+                                                dict(enumerate(entries)))).component("x")
+        sigma, alpha = tau(u), -tau(v)
+        assert convolve(one_minus_a, sigma) == convolve(one_minus_x, alpha)
+        assert is_balanced(sigma)
+
+
+def test_balance_needs_tau():
+    # dr_l/da itself is balanced only for l = 0; over Z that pins tau.
+    for d in (2, 3, 4):
+        algebra = GroupRing(INTEGERS, WreathGroup(d))
+        for l in range(4):
+            derivative = zerodivisor_from_coefficients(
+                RelatorCoefficients([algebra.zero] * l + [algebra.one]))
+            assert is_balanced(tau(derivative))
+            assert is_balanced(derivative) == (l == 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("modulus", RINGS)
+def test_tau_of_gamma_is_the_subgroup_sum_times_one_minus_a(d, modulus):
+    algebra = GroupRing(ScalarRing(modulus), WreathGroup(d))
+    group = algebra.group
+    one_minus_a = algebra.one - algebra.monomial(group.generator_a(0))
+    for depth in range(4):
+        positions = [n for n in range(-depth, depth + 1) if n]
+        subgroup_sum = algebra.element(
+            [(c, 1) for c in configurations_reference(group, positions, (0,))])
+        assert tau(right_annihilator(depth, algebra)) == convolve(subgroup_sum, one_minus_a)
 
 
 @pytest.mark.parametrize("d, depth", [(2, 0), (2, 1), (2, 3), (3, 2), (5, 1), (131, 1)])

@@ -182,16 +182,29 @@ def test_annihilate_cap_bounds_a_huge_lamp_order(capsys):
 
 
 def test_certify_cap_bounds_the_powers_of_a_in_u(capsys):
-    # u starts with z_0 (1 + a + ... + a^(d-1)): its d terms are counted
-    # against the cap before any is built, and only when z_0 != 0.
+    # u starts with z_0 dr_0/da = z_0 (1 + a + ... + a^(d-1)): r_0 = a^d is
+    # counted against the cap before it is spelled out, and only when
+    # z_0 != 0.
     with time_limit(0.9):
         code, out, err = run_cli(capsys, "certify", "--d", str(10 ** 12), "--z", "1")
         assert (code, out) == (3, "")
-        assert err == ("limit exceeded: enumeration of 1000000000000 elements "
+        assert err == ("limit exceeded: a word of 1000000000000 letters "
                        "exceeds the cap 1000000\n")
         assert run_cli(capsys, "certify", "--d", str(10 ** 12), "--z", "0")[0] == 0
         assert run_cli(capsys, "certify", "--d", "5", "--cap", "4", "--z", "1")[0] == 3
         assert run_cli(capsys, "certify", "--d", "5", "--cap", "5", "--z", "1")[0] == 0
+
+
+@pytest.mark.parametrize("cap,code,err", [
+    ("3", 3, "limit exceeded: enumeration of 4 elements exceeds the cap 3\n"),
+    ("7", 3, "limit exceeded: a word of 8 letters exceeds the cap 7\n"),
+    ("8", 0, "")])
+def test_certify_cap_bounds_the_lamp_subgroup_then_the_relators(capsys, cap, code, err):
+    # gamma's 2^2 subgroup members are counted first, then the 8 letters
+    # of r_1 = [a, x a x^-1], which u reads since z_1 != 0.
+    got = run_cli(capsys, "certify", "--d", "2", "--z", "0;1", "--cap", cap)
+    assert (got[0], got[2]) == (code, err)
+    assert bool(got[1]) == (code == 0)
 
 
 @pytest.mark.parametrize("option,size,count", [
@@ -284,6 +297,22 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, tmp_path, command
         assert (code, out) == (4, ""), flag
         assert err.startswith("invalid configuration: unrecognized arguments: " + flag), flag
         assert not target.exists()
+
+
+def test_an_unread_flag_is_named_without_its_value(capsys):
+    # argparse alone takes 7 as the relator index and then names
+    # "--mod 3", or fails on "x" as the index.
+    for value in (["7"], ["x"], []):
+        for argv in (["relator", "--mod", *value, "3"], ["relator", "3", "--mod", *value]):
+            assert run_cli(capsys, *argv) == \
+                (4, "", "invalid configuration: unrecognized arguments: --mod\n"), argv
+    assert run_cli(capsys, "relator", "--mod=7", "3")[::2] == \
+        (4, "invalid configuration: unrecognized arguments: --mod\n")
+    # A prefix of a flag the subcommand reads is that flag, as in argparse.
+    assert run_cli(capsys, "relator", "--form", "json", "3")[0] == 0
+    # After a lone --, every token is an argument: here an element.
+    code, out, err = run_cli(capsys, "mul", "--", "--mod", "e")
+    assert (code, out) == (2, "") and err.startswith("parse error: ")
 
 
 def test_readme_lists_the_flags_of_each_subcommand():
