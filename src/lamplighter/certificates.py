@@ -6,7 +6,7 @@ elements, form
     u = sum_{l=0..N} z_l dr_l/da,
 
 the generator-a component of the relator boundary map applied to z, read
-from the cached Fox derivatives of :mod:`~lamplighter.foxwords`:
+from the Fox derivatives of :mod:`~lamplighter.foxwords`:
 dr_0/da = 1 + a + ... + a^(d-1) and dr_l/da = x^l (a[-l] - 1) - (a[l] - 1).
 Let C be the subgroup of the base group spanned by the lamps at positions
 1 <= |n| <= N and set
@@ -79,7 +79,7 @@ class RelatorCoefficients(Immutable):
 
 def zerodivisor_from_coefficients(z: RelatorCoefficients,
                                   cap: int = DEFAULT_CAP) -> GroupRingElement:
-    """u = sum of z_l dr_l/da, read from the cached Fox derivatives; only the
+    """u = sum of z_l dr_l/da, read from the relators' Fox derivatives; only the
     r_l with z_l != 0 are spelled, each under ``cap`` letters (r_0 = a^d has
     d letters, r_l has 4l + 4)."""
     u = z.algebra.zero

@@ -133,16 +133,30 @@ def relator_word(d: int, l: int, cap: int = DEFAULT_CAP) -> FreeWord:
     return parse_word(f"a^{d}" if l == 0 else f"[a, x^{l} a x^-{l}]", cap)
 
 
-# One entry per (ring, relator index l, symbol, cap).  At one cap, four
-# rings with l <= 8 and both symbols take 72; certify's u on eight rings
-# with l <= 4 takes 40 (symbol a only); a default selftest takes 59.  The
-# bound leaves ample room and keeps a long process bounded.
-@lru_cache(maxsize=1024)
 def relator_fox_derivative(algebra: GroupRing, l: int, symbol: str,
                            cap: int = DEFAULT_CAP) -> GroupRingElement:
-    """Cached d(r_l)/d(symbol) in the given group ring; r_l is spelled
-    under ``cap`` letters (see :func:`relator_word`)."""
+    """d(r_l)/d(symbol) in the given group ring; r_l is spelled under
+    ``cap`` letters (see :func:`relator_word`).  The derivatives of the
+    commutators r_l, l >= 1, have at most four terms and are cached;
+    dr_0/da has d terms and is built on each call, so a process that works
+    over many lamp orders keeps none of them."""
+    if l == 0:
+        return fox_derivative(relator_word(algebra.group.d, 0, cap), symbol, algebra)
+    return _commutator_fox_derivative(algebra, l, symbol, cap)
+
+
+# One entry per (ring, relator index l >= 1, symbol, cap).  At one cap,
+# four rings with l <= 8 and both symbols take 64; certify's u on eight
+# rings with l <= 4 takes 32 (symbol a only); a default selftest takes 47.
+# With at most four terms per entry the bound keeps a long process small.
+@lru_cache(maxsize=1024)
+def _commutator_fox_derivative(algebra: GroupRing, l: int, symbol: str,
+                               cap: int) -> GroupRingElement:
     return fox_derivative(relator_word(algebra.group.d, l, cap), symbol, algebra)
+
+
+# The hits and misses of the cache, reported as relator_fox_derivative's own.
+relator_fox_derivative.cache_info = _commutator_fox_derivative.cache_info
 
 
 class ModuleVector(Immutable):

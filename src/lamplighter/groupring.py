@@ -14,7 +14,10 @@ Beyond the ring operations this module provides
   whose translates and codes the Ore system and the annihilator search
   read instead of per-cell products of wreath elements, written straight
   as digits by :func:`lamp_configurations`, the one enumerator of lamp
-  configurations on given positions, and
+  configurations on given positions; products of many term pairs run
+  through them too (:func:`_coded_product`): every product is one
+  translate, its digits reduced mod d by one conditional subtract, and
+  equal products are grouped by one sort of their codes, and
 * left-multiplication maps restricted to finite supports: the row of
   every product (:func:`left_mul_rows`) and the dense coefficient matrix
   (:func:`left_mul_matrix`), with the distinct products in code order as
@@ -406,16 +409,16 @@ class CodedElements:
     def encode(cls, group: WreathGroup, elements: Sequence[WreathElement]) -> "CodedElements":
         """The elements in order, over the range of positions their lamps use."""
         for g in elements:
-            if g.group != group:
+            if g.group is not group and g.group != group:
                 raise RingMismatchError(f"{g!r} does not live in {group!r}")
-        lamps = np.array([lamp for g in elements for lamp in g.lamps],
-                         dtype=np.int64).reshape(-1, 2)
+        lamps = np.fromiter(chain.from_iterable(chain.from_iterable(g.lamps for g in elements)),
+                            dtype=np.int64).reshape(-1, 2)
         lo = int(lamps[:, 0].min()) if len(lamps) else 0
         width = int(lamps[:, 0].max()) - lo + 1 if len(lamps) else 0
         digits = np.zeros((len(elements), width), dtype=_digit_dtype(group.d))
         rows = np.repeat(np.arange(len(elements)), [len(g.lamps) for g in elements])
         digits[rows, lamps[:, 0] - lo] = lamps[:, 1]
-        shifts = np.array([g.shift for g in elements], dtype=np.int64)
+        shifts = np.fromiter((g.shift for g in elements), dtype=np.int64, count=len(elements))
         return cls(group, lo, shifts, digits)
 
     def __len__(self) -> int:
@@ -437,7 +440,9 @@ class CodedElements:
 
         h * g adds the digits of g, moved up by the shift of h, to the
         lamps of h mod d, and adds the shifts.  The hs are encoded once
-        and translated in blocks of equal shift.
+        and translated in blocks of equal shift.  A sum of two digits is
+        below 2d, so mod d is one conditional subtract, ``min(v, v - d)``
+        on the table read as unsigned, where v - d wraps past v for v < d.
         """
         left = CodedElements.encode(self.group, hs)
         (m, lw), (n, width) = left.digits.shape, self.digits.shape
@@ -455,7 +460,8 @@ class CodedElements:
         for shift in dict.fromkeys(left.shifts.tolist()):
             start = self.lo + shift - lo
             digits[left.shifts == shift, :, start:start + width] += self.digits
-        digits %= self.group.d
+        v = digits.view(np.dtype(f"u{digits.itemsize}"))
+        np.minimum(v, v - self.group.d, out=v)
         shifts = (left.shifts[:, None] + self.shifts).reshape(m * n)
         return CodedElements(self.group, lo, shifts, digits.reshape(m * n, hi - lo))
 
@@ -533,12 +539,14 @@ def element_codes(table: CodedElements,
 # Products of at least this many term pairs run through the coded kernel
 # (:func:`_coded_product`), the rest through the dict loop of
 # :meth:`GroupRingElement.__mul__`.  Timed on the benchmark's own products
-# of 256-511 pairs, each path forced: the kernel takes 0.12-0.31 of the
-# dict loop's time on annihilate's beta * alpha and 0.18-0.21 on certify's
-# u * gamma, which all cancel to zero, and 0.75-0.92 on fox-boundary's,
-# which do not cancel; ore-search forms none over 16 pairs.  On
-# fox-boundary's products of 128-255 pairs it takes 0.88-1.12: the kernel
-# gains nothing there on products that do not cancel.
+# of 256-511 pairs, each path forced (best of 7, three runs): the kernel
+# takes 0.11-0.25 of the dict loop's time on annihilate's beta * alpha and
+# 0.16-0.24 on certify's u * gamma, which all cancel to zero, and 0.70-1.13
+# (median 0.80-0.96) on fox-boundary's, which do not cancel; ore-search
+# forms none over 16 pairs.  Below the threshold, at 128-255 pairs, it
+# takes 0.24-0.60 on certify's and annihilate's products but 0.90-1.90
+# (median 1.02-1.23) on fox-boundary's: a lower threshold would slow the
+# products that do not cancel.
 CODED_PRODUCT_PAIRS = 256
 # The kernel's work and memory grow with the number of lamp positions the
 # products span, the dict loop's only with the lamps that are lit.  On
@@ -547,7 +555,7 @@ CODED_PRODUCT_PAIRS = 256
 CODED_PRODUCT_WIDTH = 64
 # Bound on the kernel's transient memory, estimated as itemsize + 3 bytes
 # per digit of every product (its digit and its share of the packed codes,
-# which np.unique copies) plus 64 bytes of indices and sums per pair.
+# which the sort copies) plus 64 bytes of indices and sums per pair.
 CODED_PRODUCT_BYTES = 2 ** 26
 
 
@@ -602,16 +610,22 @@ def _coded_product(left: GroupRingElement, right: GroupRingElement) -> dict[Wrea
 
     The caller checks :func:`_runs_coded` first.  Row k * |right| + j
     of the translates is g_k * h_j, the order in which the dict loop
-    meets the products, so the survivors keep the dict loop's order.
+    meets the products.  One unstable argsort groups equal codes: a group
+    starts where the sorted codes change, ``np.add.reduceat`` sums its
+    coefficient products, and ``np.minimum.reduceat`` of the sorting
+    permutation gives its least row, the product's first occurrence.
+    Ordered by those rows, the survivors keep the dict loop's order.
     """
     products = CodedElements.encode(left.group, list(right.terms)).left_translates(
         list(left.terms))
-    table, first, inverse = np.unique(element_codes(products),
-                                      return_index=True, return_inverse=True)
-    acc = np.zeros(len(table), dtype=np.int64)
-    np.add.at(acc, inverse, np.multiply.outer(
+    codes = element_codes(products)
+    order = np.argsort(codes)
+    codes = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    acc = np.add.reduceat(np.multiply.outer(
         np.array(list(left.terms.values()), dtype=np.int64),
-        np.array(list(right.terms.values()), dtype=np.int64)).reshape(-1))
+        np.array(list(right.terms.values()), dtype=np.int64)).reshape(-1)[order], starts)
+    first = np.minimum.reduceat(order, starts)
     if left.ring.modulus:
         acc %= left.ring.modulus
     kept = np.flatnonzero(acc)

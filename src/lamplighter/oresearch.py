@@ -20,6 +20,25 @@ echelon form.  Every kernel basis solution is then checked:
 A failed annihilator search is inconclusive (reported, never treated as
 evidence that sigma is a non-zerodivisor).  All results are exact and
 deterministic; reports are byte-identical across runs.
+
+Why every solution should be a left zerodivisor (an argument, not yet
+checked by a second reader; ``tests/test_oresearch.py`` tests its base
+case).  Call sigma *balanced* when, for each shift, its coefficients
+summed over the terms with lamp-0 value v agree for every v in Z/d.  If
+sigma's lamps lie in [-L, L], then w_L * sigma = 0 exactly when sigma is
+balanced, where w_L = (sum of the lamp subgroup on [-L, L] minus {0}) *
+(1 - a) has 2 d^(2L) distinct terms, so w_L != 0.  A solution is a
+1-cycle of the Cayley graph with edges g -- a g and x g -- g, sigma_g
+the coefficient of the a-edge at g, and balance is linear in them.  The
+relators a^d and [a, x^i a x^-i], i >= 1, present the group, so its
+Cayley complex is simply connected: every 1-cycle over Z is a sum of
+relator loops at base points, and the integral cycles span the solutions
+over every commutative ring k.  Each loop is balanced: an a^d loop puts
+1 on each of the d classes of one shift; a commutator loop at h has two
+pairs of a-edges of opposite signs, at h and a[i] h (same shift and lamp
+0, as i != 0) and at x^-i a h and x^-i h (same shift, lamp 0 of each is
+lamp i of h).  In the Fox calculus the loop at h is sigma = tau(dr_l/da)
+h, alpha = -tau(dr_l/dx) h, with tau the anti-automorphism fixing a, x.
 """
 
 from __future__ import annotations

@@ -67,12 +67,12 @@ def tau(u: GroupRingElement) -> GroupRingElement:
                               for g, c in u.terms.items()])
 
 
-def is_balanced(sigma: GroupRingElement) -> bool:
+def is_balanced(sigma: GroupRingElement, lamp: int = 0) -> bool:
     """True when, for each shift, sigma's coefficients summed over the
-    terms with lamp-0 value v are the same for every v in Z/d."""
+    terms with value v at position ``lamp`` are the same for every v in Z/d."""
     sums: dict[tuple[int, int], int] = {}
     for g, c in sigma.terms.items():
-        key = (g.shift, dict(g.lamps).get(0, 0))
+        key = (g.shift, dict(g.lamps).get(lamp, 0))
         sums[key] = sums.get(key, 0) + c
     canon = sigma.ring.canon
     return all(len({canon(sums.get((n, v), 0)) for v in range(sigma.group.d)}) == 1

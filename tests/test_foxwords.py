@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import random_free_word, random_ring_element
 from lamplighter.foxwords import (FreeWord, ModuleVector, boundary_from_generators,
                                   boundary_from_relators, evaluate, fox_derivative,
-                                  parse_word, relator_word)
+                                  parse_word, relator_fox_derivative, relator_word)
 from lamplighter.errors import LimitExceededError
 from lamplighter.groupring import GroupRing, GroupRingElement
 from lamplighter.ring import INTEGERS, ScalarRing
@@ -203,6 +204,22 @@ def test_boundary_from_relators_spells_relators_under_the_callers_cap():
         boundary_from_relators(z, cap=4)
     assert boundary_from_relators(z, cap=5) == boundary_from_relators(z)
     assert boundary_from_relators(z).component("a") == algebra.geometric_a(5)
+
+
+def test_a_power_sums_are_not_kept_across_lamp_orders():
+    # dr_0/da has d terms; a process that works over many lamp orders keeps
+    # none of them, while the short commutator derivatives stay cached.
+    tracemalloc.start()
+    try:
+        for d in range(2000, 2004):
+            algebra = GroupRing(INTEGERS, WreathGroup(d))
+            assert len(relator_fox_derivative(algebra, 0, "a")) == d
+            assert relator_fox_derivative(algebra, 1, "a") is \
+                relator_fox_derivative(algebra, 1, "a")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 ** 18
 
 
 def test_composite_boundary_vanishes_random():

@@ -423,7 +423,8 @@ def test_coded_product_large_prime_modulus(modulus, coded, coded_calls):
 
 def multiword(left, right):
     """The codes of left * right span more than one int64 word."""
-    products = CodedElements.encode(G2, list(right.terms)).left_translates(list(left.terms))
+    products = CodedElements.encode(left.group, list(right.terms)).left_translates(
+        list(left.terms))
     return element_codes(products).dtype.kind == "V"
 
 
@@ -450,6 +451,57 @@ def test_coded_product_on_multiword_codes(coded_calls):
     right = (ZG2.one - a28) * ZG2.element([(G2.generator_x(k), 1) for k in range(4)])
     assert multiword(left, right)
     assert check_product(left, right, coded_calls).is_zero()
+
+
+def dict_loop(left, right, monkeypatch):
+    """left * right through the dict loop of GroupRingElement.__mul__."""
+    with monkeypatch.context() as patch:
+        patch.setattr(groupring, "CODED_PRODUCT_PAIRS", float("inf"))
+        return left * right
+
+
+# (lamp bound, shift bound) of random operands whose products are coded in
+# one int64 word, and of operands whose products span more positions than
+# one word holds (d^positions > 2^63), still within CODED_PRODUCT_WIDTH.
+OPERAND_BOUNDS = {2: ((3, 3), (28, 3)), 3: ((3, 3), (18, 3)), 5: ((3, 3), (14, 3)),
+                  200: ((1, 1), (5, 3))}
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("modulus,d", [(m, d) for d in (2, 3, 5, 200) for m in (0, 2, 3, 4)])
+def test_coded_product_equals_the_dict_loop_in_value_and_order(modulus, d, wide, coded_calls,
+                                                               monkeypatch):
+    # d = 200 codes its digits in int64; ``wide`` operands give multiword codes.
+    algebra = GroupRing(ScalarRing(modulus), WreathGroup(d))
+    rng = random.Random(1000 * d + 10 * modulus + wide)
+    bounds = OPERAND_BOUNDS[d][wide]
+    u = distinct_element(rng, algebra, 8, *bounds)
+    v = distinct_element(rng, algebra, 33, *bounds)
+    # (y (1 - a)) * ((1 + a + ... + a^(d-1)) w) = 0, at least 256 pairs
+    y = distinct_element(rng, algebra, 2 if d == 200 else 8, *bounds) * one_minus_a(algebra)
+    w = algebra.geometric_a(d) * distinct_element(rng, algebra, max(1, 32 // d), *bounds)
+    for left, right, cancels in ((u, v, False), (v, u, False), (y, w, True)):
+        assert multiword(left, right) == wide
+        del coded_calls[:]
+        product = left * right
+        assert coded_calls == [len(left) * len(right)]
+        expected = dict_loop(left, right, monkeypatch)
+        assert product == expected and list(product.terms) == list(expected.terms)
+        assert product.is_zero() == cancels
+
+
+def test_coded_product_keeps_first_occurrences_when_codes_interleave(coded_calls, monkeypatch):
+    # Row 16 k + j of the translates is x^k * x^-j = x^(k-j): the code of
+    # x^0 (row 0) is followed by the smaller codes of x^-1, ..., x^-15, and
+    # each of them recurs after the larger x^1 first occurs (row 16).  The
+    # terms must come in the order of their first rows, not in code order.
+    left = shift_sum(ZG2, 16, 1)
+    right = ZG2.element([(G2.generator_x(-j), j + 1) for j in range(16)])
+    product = left * right
+    assert coded_calls == [256]
+    assert [g.shift for g in product.terms] == list(range(0, -16, -1)) + list(range(1, 16))
+    expected = dict_loop(left, right, monkeypatch)
+    assert product == expected and list(product.terms) == list(expected.terms)
 
 
 def test_coded_product_width_bound(coded_calls):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import convolve, left_mul_labels, time_limit, window_reference
+from conftest import (configurations_reference, convolve, is_balanced, left_mul_labels,
+                      random_group_element, tau, time_limit, window_reference)
 from lamplighter import oresearch
 from lamplighter.certificates import RelatorCoefficients, certify
 from lamplighter.errors import LimitExceededError, UnsupportedRingError
+from lamplighter.foxwords import relator_fox_derivative
 from lamplighter.groupring import CodedElements, GroupRing, element_codes, left_mul_matrix
 from lamplighter.linalg import nullspace_mod_p
 from lamplighter.oresearch import (Window, _combination, annihilator_search, build_system,
@@ -656,3 +658,57 @@ def test_an_oversized_search_window_is_refused_before_any_product(monkeypatch):
     sigma = F2G2.one + F2G2.monomial(G2.generator_a(0))
     with pytest.raises(LimitExceededError, match="18432 x 18432"):
         annihilator_search(sigma, Window(5, 4))
+
+
+# --- Fact E (module docstring): every window solution is killed by w_L ---
+
+def relator_chains(algebra, rng):
+    """(l, sigma, alpha) for l = 0..7, sigma = tau(dr_l/da) h and alpha =
+    -tau(dr_l/dx) h, for h the identity, x^-2 a[1] and four random elements."""
+    group = algebra.group
+    hs = [group.identity, group.element({1: 1}, -2)]
+    hs += [random_group_element(rng, group, lamp_bound=1) for _ in range(4)]
+    for l in range(8):
+        sigma_l, alpha_l = (tau(relator_fox_derivative(algebra, l, s)) for s in "ax")
+        for h in hs:
+            yield l, convolve(sigma_l, algebra.monomial(h)), -convolve(alpha_l, algebra.monomial(h))
+
+
+def witness(algebra, bound, lamp=0):
+    """(sum of the lamp subgroup on [lamp - L, lamp + L] without ``lamp``)
+    * (1 - a[lamp]) for L = ``bound``; at lamp 0 this is w_L."""
+    group = algebra.group
+    positions = [p for p in range(lamp - bound, lamp + bound + 1) if p != lamp]
+    subgroup_sum = algebra.element(
+        [(c, 1) for c in configurations_reference(group, positions, (0,))])
+    return convolve(subgroup_sum, algebra.one - algebra.monomial(group.generator_a(lamp)))
+
+
+def lamp_reach(sigma, lamp=0):
+    """The least L such that sigma's lamps lie in [lamp - L, lamp + L]."""
+    return max((abs(p - lamp) for g in sigma.terms for p, _ in g.lamps), default=0)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_relator_chains_are_balanced_solutions_killed_by_w_l(d):
+    # Over Z, so the identities hold over every commutative ring.  Each
+    # translated relator chain re-substitutes into (1 - a) sigma =
+    # (1 - x) alpha and is balanced at lamp 0; where the lamp subgroup of
+    # w_L has at most 81 elements, w_L * sigma = 0 by the oracle product.
+    # At lamp 1 the a^d and [a, x a x^-1] chains are not all balanced, and
+    # the lamp-1 witness kills exactly the chains balanced at lamp 1.
+    algebra = GroupRing(INTEGERS, WreathGroup(d))
+    one_minus_a_, one_minus_x_ = one_minus_a(algebra), one_minus_x(algebra)
+    killed, unbalanced_at_1 = set(), set()
+    for l, sigma, alpha in relator_chains(algebra, random.Random(d)):
+        assert convolve(one_minus_a_, sigma) == convolve(one_minus_x_, alpha)
+        assert is_balanced(sigma)
+        if d ** (2 * lamp_reach(sigma)) <= 81:
+            assert convolve(witness(algebra, lamp_reach(sigma)), sigma).is_zero()
+            killed.add(l)
+        if not is_balanced(sigma, lamp=1):
+            unbalanced_at_1.add(l)
+        if d ** (2 * lamp_reach(sigma, lamp=1)) <= 81:
+            product = convolve(witness(algebra, lamp_reach(sigma, lamp=1), lamp=1), sigma)
+            assert product.is_zero() == is_balanced(sigma, lamp=1)
+    assert {0, 1} <= killed and {0, 1} <= unbalanced_at_1
